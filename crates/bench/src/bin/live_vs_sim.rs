@@ -190,7 +190,7 @@ fn main() -> ExitCode {
         "  live ordering (single <= partitioned <= rss):  {}",
         if live_ok { "HOLDS" } else { "VIOLATED" }
     );
-    println!("  (the live replenish row should track the single-queue row: it *is* the 1x{WORKERS} discipline, dispatched by a thread instead of an NI)");
+    println!("  (the live replenish row should track the single-queue row: it *is* the 1x{WORKERS} discipline, dispatched by the connection's reader in the arrival path instead of an NI)");
 
     write_json(
         "live_vs_sim",

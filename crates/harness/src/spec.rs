@@ -640,9 +640,9 @@ impl ExperimentSpec {
                     queue_overflow_pushes: 0,
                     queue_overflow_migrations: 0,
                     // The live analogue of the sim's peak shared-CQ depth:
-                    // the server's own high-water gauge (queue depth for
-                    // queue policies, posted-slot ring depth for
-                    // replenish), from the `STATS` snapshot.
+                    // the server's own high-water gauge (requests
+                    // waiting, or workers parked idle, whichever side
+                    // of the match ran deeper), from the `STATS` snapshot.
                     dispatcher_high_water: server.queue_high_water.max(server.ring_high_water)
                         as usize,
                     preemptions: 0,

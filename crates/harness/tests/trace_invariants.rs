@@ -5,12 +5,11 @@
 //! All five hop stamps sit on one clock (virtual picoseconds in the
 //! sim, one monotonic epoch in the live server), so the telescoping sum
 //! `reassembly + dispatch + core_queue + processing = total` is exact
-//! in integer picoseconds — up to one wrinkle: `core_queue` is
-//! *saturating*, because a live worker can stamp `started` a hair
-//! before the reader thread's post-submit `dispatched` stamp. The exact
-//! invariant is therefore `sum = total + max(0, dispatched - started)`,
-//! which these tests assert for every timeline; simulator timelines
-//! must additionally all be monotone (zero saturation excess).
+//! in integer picoseconds. `core_queue` is *saturating*, so the
+//! invariant is stated as `sum = total + max(0, dispatched - started)`;
+//! the excess must be zero on both sides — the simulator by
+//! construction, the live reader because it stamps `dispatched` before
+//! the hand-off that lets a worker stamp `started`.
 
 use dist::SyntheticKind;
 use harness::{
@@ -94,10 +93,14 @@ fn live_hop_durations_sum_to_end_to_end() {
         trace_capacity: 0,
     };
     let observed = spec.run_observed(80, 0);
-    let (timelines, _saturated) = assert_hop_sums(&observed.events);
+    let (timelines, saturated) = assert_hop_sums(&observed.events);
     assert!(
         timelines >= 60,
         "most of the 80 traced requests complete all five hops (got {timelines})"
+    );
+    assert_eq!(
+        saturated, 0,
+        "live stamps are monotone: no worker starts a request before it is dispatched"
     );
     // The STATS snapshot folded into the measurement: the server really
     // served the run.

@@ -1,32 +1,38 @@
-//! Software dispatch disciplines behind one [`Dispatcher`] trait.
+//! The live tier's one dispatch core: passive, pull-based, and run in
+//! the arrival path.
 //!
-//! These are the paper's queuing configurations (§2.2, Fig. 1) realized
-//! as thread-to-thread handoff policies instead of simulated FIFOs:
+//! RPCValet's claim (§4.2) is that the NI makes the single-queue
+//! decision *as the message arrives*: no software hop, no
+//! synchronisation between "request is here" and "this core takes it".
+//! The live tier re-enacts that with the reader thread as the NI
+//! front-end. [`Dispatcher::submit`] runs on the reader: it locks the
+//! request's queue and either hands the item straight to the
+//! longest-parked worker (unlock, then exactly one wake) or appends it.
+//! [`Dispatcher::recv`] runs on the worker: it takes what waits, or
+//! registers itself idle *under the same lock* (so no arrival can be
+//! missed) and parks on its private mailbox. There is no dispatch
+//! thread, and nothing to join at shutdown.
 //!
-//! * [`SingleQueue`] — one shared lock-protected queue, every worker
-//!   pulls from it: the software 1×16 baseline, synchronization cost
-//!   included.
-//! * [`Partitioned`] — `G` lock-protected queues, workers split into `G`
-//!   groups; arrivals spread uniformly by a hash of the sequence number
-//!   (the paper's `uni[0, Q−1]` split).
-//! * [`RssStatic`] — one queue per worker, arrivals routed by a hash of
-//!   the *connection*: receive-side scaling's flow affinity, the 16×1
-//!   worst case.
-//! * [`Replenish`] — the RPCValet discipline in software: workers post
-//!   availability slots to a lock-free [`SlotRing`](crate::ring::SlotRing)
-//!   and a dedicated dispatch thread hands each request to the first free
-//!   worker (the NI emulated as a thread).
+//! Idle workers asking for work and the dispatcher parking those it
+//! cannot serve is the pull shape of chroma's task dispatcher (see
+//! SNIPPETS.md); here it is one `MatchQueue` per queue, and the
+//! paper's queuing configurations (§2.2, Fig. 1) differ only in which
+//! queue a request joins and which queue a worker serves:
+//!
+//! | policy | queues | a request joins | a worker serves |
+//! |---|---|---|---|
+//! | [`LivePolicy::SingleQueue`] (software 1×N) | 1 | the one | the one |
+//! | [`LivePolicy::Partitioned`] (G×N/G) | G | `hash(seq) % G` — the paper's `uni[0, Q−1]` | its group's |
+//! | [`LivePolicy::RssStatic`] (N×1) | N | `hash(conn) % N` — flow affinity | its own |
+//! | [`LivePolicy::Replenish`] (RPCValet) | 1 | the one | the one, up to `replenish_batch` at a time |
 
+use std::collections::vec_deque::Drain;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use simkit::rng::split_seed;
-
-use crate::ring::SlotRing;
 
 /// Salt for the connection-hash route (RSS).
 const RSS_SALT: u64 = 0x5255_5353; // "RSS"
@@ -45,8 +51,8 @@ pub enum LivePolicy {
     },
     /// One queue per worker, routed by connection hash (N×1, RSS-like).
     RssStatic,
-    /// RPCValet-style: free workers announce themselves on a lock-free
-    /// ring; a dispatch thread matches requests to the first free worker.
+    /// RPCValet-style: one queue, each arrival matched to the first free
+    /// worker in the arrival path; workers may replenish in batches.
     Replenish,
 }
 
@@ -159,36 +165,162 @@ pub struct RouteKey {
 }
 
 /// Occupancy gauges a dispatcher accumulates while serving, reported
-/// through the wire protocol's `STATS` verb.
+/// through the wire protocol's `STATS` verb. All three are kept under
+/// the queue lock the hot path already holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchGauges {
-    /// Deepest any of the policy's queues ever got (max over queues —
+    /// Deepest any pending FIFO ever got (max over the policy's queues —
     /// the live analogue of the simulator's `dispatcher_high_water`).
+    /// Counts only requests that had to wait: an arrival handed straight
+    /// to a parked worker never enters the FIFO.
     pub queue_high_water: u64,
-    /// Most free-worker slots ever posted to the replenish ring at once
-    /// (0 for the lock/queue policies, which have no ring).
+    /// Most workers ever parked idle on one queue at once (the
+    /// availability "ring" of the replenish discipline).
     pub ring_high_water: u64,
-    /// Replenish deliveries (each hands a worker one batch; 0 for the
-    /// other policies).
+    /// Deliveries made: each hands one worker one item, or one batch of
+    /// up to `replenish_batch` already-waiting items.
     pub replenish_batches: u64,
 }
 
-/// A dispatch discipline: readers submit work, workers pull it.
-///
-/// `recv` blocks until an item is available for `worker` or the
-/// dispatcher shuts down (then it returns `None` forever).
-pub trait Dispatcher<T: Send>: Send + Sync {
-    /// Enqueues one item with its routing key.
-    fn submit(&self, route: RouteKey, item: T);
-    /// Blocks for the next item for `worker`; `None` after shutdown.
-    fn recv(&self, worker: usize) -> Option<T>;
-    /// Wakes all blocked workers and makes subsequent `recv`s return
-    /// `None`. Idempotent.
-    fn shutdown(&self);
-    /// Current occupancy gauges (advisory; safe to call while serving).
-    fn gauges(&self) -> DispatchGauges {
-        DispatchGauges::default()
+/// What `MatchQueue::offer` did with an arrival.
+enum Offer<T> {
+    /// The longest-parked worker takes the item; the caller delivers it.
+    Handoff(usize, T),
+    /// No worker was idle; the item waits in the FIFO.
+    Queued,
+}
+
+/// What `MatchQueue::request` answered a worker asking for work.
+#[derive(Debug, PartialEq, Eq)]
+enum Pull<T> {
+    /// The oldest waiting item.
+    Item(T),
+    /// Nothing waits: the worker is now registered idle and must park
+    /// until an `Offer::Handoff` names it.
+    Parked,
+    /// Closed *and* drained: no item will ever come.
+    Closed,
+}
+
+/// The match step of one queue as a pure state machine — no lock, no
+/// thread, no clock: arrivals meet idle workers first-come-first-served
+/// on both sides. Invariant: `pending` and `idle` are never both
+/// non-empty (work conservation).
+struct MatchQueue<T> {
+    pending: VecDeque<T>,
+    idle: VecDeque<usize>,
+    open: bool,
+    gauges: DispatchGauges,
+}
+
+impl<T> MatchQueue<T> {
+    fn new() -> Self {
+        MatchQueue {
+            pending: VecDeque::new(),
+            idle: VecDeque::new(),
+            open: true,
+            gauges: DispatchGauges::default(),
+        }
     }
+
+    /// An arrival: straight to the longest-parked worker, else queued.
+    fn offer(&mut self, item: T) -> Offer<T> {
+        match self.idle.pop_front() {
+            Some(worker) => {
+                self.gauges.replenish_batches += 1;
+                Offer::Handoff(worker, item)
+            }
+            None => {
+                self.pending.push_back(item);
+                self.gauges.queue_high_water =
+                    self.gauges.queue_high_water.max(self.pending.len() as u64);
+                Offer::Queued
+            }
+        }
+    }
+
+    /// A worker asking for work: the oldest waiting item plus up to
+    /// `batch - 1` more (the drain, empty unless items waited), or the
+    /// worker is registered idle. Batching never waits for arrivals —
+    /// it amortizes the shared lock, it must not delay dispatch.
+    fn request(&mut self, worker: usize, batch: usize) -> (Pull<T>, Drain<'_, T>) {
+        let pull = match self.pending.pop_front() {
+            Some(first) => {
+                self.gauges.replenish_batches += 1;
+                Pull::Item(first)
+            }
+            None if !self.open => Pull::Closed,
+            None => {
+                self.idle.push_back(worker);
+                self.gauges.ring_high_water =
+                    self.gauges.ring_high_water.max(self.idle.len() as u64);
+                Pull::Parked
+            }
+        };
+        let extra = self.pending.len().min(batch - 1);
+        (pull, self.pending.drain(..extra))
+    }
+
+    /// Closes the queue and returns the workers parked on it, which the
+    /// caller must wake. Waiting items stay and still drain.
+    fn close(&mut self) -> VecDeque<usize> {
+        self.open = false;
+        std::mem::take(&mut self.idle)
+    }
+}
+
+/// A worker's private parking spot: the item a hand-off gave it, and
+/// the rest of a batch it pulled.
+struct Mailbox<T> {
+    slot: Mutex<Slot<T>>,
+    wake: Condvar,
+}
+
+struct Slot<T> {
+    items: VecDeque<T>,
+    /// Set by shutdown on a parked worker: wake up empty-handed.
+    closed: bool,
+}
+
+impl<T> Mailbox<T> {
+    fn new() -> Self {
+        Mailbox {
+            slot: Mutex::new(Slot {
+                items: VecDeque::new(),
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slot<T>> {
+        self.slot.lock().expect("mailbox lock")
+    }
+
+    /// Parks until a hand-off or shutdown.
+    fn wait(&self) -> Option<T> {
+        let mut slot = self.lock();
+        loop {
+            if let Some(item) = slot.items.pop_front() {
+                return Some(item);
+            }
+            if slot.closed {
+                return None;
+            }
+            slot = self.wake.wait(slot).expect("mailbox wait");
+        }
+    }
+}
+
+/// The one dispatch core: a `MatchQueue` behind a lock per queue, a
+/// `Mailbox` per worker, and the policy as two functions — `queue_of`
+/// a request, `queue_for` a worker. Passive: every step runs on the
+/// thread that caused it.
+pub struct Dispatcher<T> {
+    policy: LivePolicy,
+    batch: usize,
+    queues: Vec<Mutex<MatchQueue<T>>>,
+    mailboxes: Vec<Mailbox<T>>,
 }
 
 /// Builds the dispatcher for a policy.
@@ -196,580 +328,149 @@ pub trait Dispatcher<T: Send>: Send + Sync {
 /// # Panics
 /// Panics if `workers == 0`, or for [`LivePolicy::Partitioned`] when
 /// `groups` is 0, exceeds the worker count, or does not divide it.
-pub fn make_dispatcher<T: Send + 'static>(
-    policy: LivePolicy,
-    workers: usize,
-) -> Arc<dyn Dispatcher<T>> {
+pub fn make_dispatcher<T>(policy: LivePolicy, workers: usize) -> Dispatcher<T> {
     make_dispatcher_batched(policy, workers, 1)
 }
 
 /// [`make_dispatcher`] with an explicit replenish batch size (the
-/// `ablation_sensitivity` knob; only [`LivePolicy::Replenish`] batches —
-/// the other disciplines have no handoff to amortize).
+/// `ablation_sensitivity` knob; only [`LivePolicy::Replenish`] batches).
+/// With `batch > 1` a worker that finds a backlog takes up to `batch`
+/// requests under one lock acquisition; the extras are pinned to it
+/// like a tiny multi-queue — the paper's §4.3 outstanding-threshold
+/// tradeoff in software form.
 ///
 /// # Panics
 /// As [`make_dispatcher`], plus `batch == 0`.
-pub fn make_dispatcher_batched<T: Send + 'static>(
+pub fn make_dispatcher_batched<T>(
     policy: LivePolicy,
     workers: usize,
     batch: usize,
-) -> Arc<dyn Dispatcher<T>> {
+) -> Dispatcher<T> {
     assert!(workers > 0, "need at least one worker");
     assert!(batch > 0, "batch must be at least 1");
-    match policy {
-        LivePolicy::SingleQueue => Arc::new(SingleQueue::new()),
-        LivePolicy::Partitioned { groups } => Arc::new(Partitioned::new(groups, workers)),
-        LivePolicy::RssStatic => Arc::new(RssStatic::new(workers)),
-        LivePolicy::Replenish => Arc::new(Replenish::with_batch(workers, batch)),
+    let queues = match policy {
+        LivePolicy::SingleQueue | LivePolicy::Replenish => 1,
+        LivePolicy::Partitioned { groups } => {
+            assert!(
+                groups > 0 && groups <= workers && workers.is_multiple_of(groups),
+                "groups ({groups}) must divide workers ({workers})"
+            );
+            groups
+        }
+        LivePolicy::RssStatic => workers,
+    };
+    Dispatcher {
+        policy,
+        batch: match policy {
+            LivePolicy::Replenish => batch,
+            _ => 1,
+        },
+        queues: (0..queues).map(|_| Mutex::new(MatchQueue::new())).collect(),
+        mailboxes: (0..workers).map(|_| Mailbox::new()).collect(),
     }
 }
 
-/// A closable blocking FIFO: `Mutex<VecDeque>` + condvar.
-struct Channel<T> {
-    inner: Mutex<ChannelInner<T>>,
-    cv: Condvar,
-}
-
-struct ChannelInner<T> {
-    queue: VecDeque<T>,
-    open: bool,
-    /// Deepest the queue ever got. Updated under the lock the push
-    /// already holds, so the gauge costs nothing extra on the hot path.
-    high_water: u64,
-}
-
-impl<T> Channel<T> {
-    fn new() -> Self {
-        Channel {
-            inner: Mutex::new(ChannelInner {
-                queue: VecDeque::new(),
-                open: true,
-                high_water: 0,
-            }),
-            cv: Condvar::new(),
+impl<T> Dispatcher<T> {
+    /// The queue a request joins: the shared one, a uniform spread by
+    /// sequence-number hash (the paper's `uni[0, Q−1]`), or the
+    /// connection's (RSS flow affinity).
+    fn queue_of(&self, route: RouteKey) -> usize {
+        let n = self.queues.len() as u64;
+        match self.policy {
+            LivePolicy::SingleQueue | LivePolicy::Replenish => 0,
+            LivePolicy::Partitioned { .. } => (split_seed(route.seq, UNI_SALT) % n) as usize,
+            LivePolicy::RssStatic => (split_seed(route.conn, RSS_SALT) % n) as usize,
         }
     }
 
-    fn push(&self, item: T) {
-        let mut inner = self.inner.lock().expect("channel lock");
-        inner.queue.push_back(item);
-        inner.high_water = inner.high_water.max(inner.queue.len() as u64);
-        drop(inner);
-        self.cv.notify_one();
+    /// The queue a worker serves: workers split evenly, in order.
+    fn queue_for(&self, worker: usize) -> usize {
+        worker * self.queues.len() / self.mailboxes.len()
     }
 
-    /// Pushes a batch in one critical section: a consumer can never
-    /// observe a prefix of the batch with the rest still in flight.
-    fn push_all(&self, items: Vec<T>) {
-        if items.is_empty() {
-            return;
+    fn queue(&self, index: usize) -> MutexGuard<'_, MatchQueue<T>> {
+        self.queues[index].lock().expect("dispatch queue lock")
+    }
+
+    /// Enqueues one item with its routing key: handed to a parked
+    /// worker with exactly one wake (after the queue lock is released),
+    /// or left waiting for the next worker to ask.
+    pub fn submit(&self, route: RouteKey, item: T) {
+        let offer = self.queue(self.queue_of(route)).offer(item);
+        if let Offer::Handoff(worker, item) = offer {
+            let mailbox = &self.mailboxes[worker];
+            mailbox.lock().items.push_back(item);
+            mailbox.wake.notify_one();
         }
-        let mut inner = self.inner.lock().expect("channel lock");
-        inner.queue.extend(items);
-        inner.high_water = inner.high_water.max(inner.queue.len() as u64);
-        drop(inner);
-        self.cv.notify_one();
     }
 
-    /// Deepest the queue has ever been.
-    fn high_water(&self) -> u64 {
-        self.inner.lock().expect("channel lock").high_water
+    /// [`Dispatcher::recv`] without the parking: on `Pull::Parked` the
+    /// caller must not ask again until a hand-off reaches its mailbox.
+    /// Registration happens under the queue lock `submit` takes, so no
+    /// arrival can slip between "nothing waits" and "I am idle".
+    fn poll(&self, worker: usize) -> Pull<T> {
+        let mailbox = &self.mailboxes[worker];
+        // Leftovers of a batch first: a worker holding items is not
+        // idle and must not register as such.
+        if let Some(item) = mailbox.lock().items.pop_front() {
+            return Pull::Item(item);
+        }
+        let mut queue = self.queue(self.queue_for(worker));
+        let (pull, rest) = queue.request(worker, self.batch);
+        if rest.len() > 0 {
+            mailbox.lock().items.extend(rest);
+        }
+        pull
     }
 
-    /// Pops the next item if one is queued, without blocking.
-    fn try_pop(&self) -> Option<T> {
-        self.inner.lock().expect("channel lock").queue.pop_front()
+    /// Blocks for the next item for `worker`; `None` once shut down
+    /// *and* drained (then forever).
+    pub fn recv(&self, worker: usize) -> Option<T> {
+        match self.poll(worker) {
+            Pull::Item(item) => Some(item),
+            Pull::Parked => self.mailboxes[worker].wait(),
+            Pull::Closed => None,
+        }
     }
 
-    /// Blocks for the next item; `None` once closed *and* drained.
-    fn pop_blocking(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("channel lock");
-        loop {
-            if let Some(item) = inner.queue.pop_front() {
-                return Some(item);
+    /// Wakes every parked worker empty-handed and makes `recv` return
+    /// `None` as soon as the items already submitted are drained.
+    /// Idempotent; nothing to join.
+    pub fn shutdown(&self) {
+        for index in 0..self.queues.len() {
+            let parked = self.queue(index).close();
+            for worker in parked {
+                let mailbox = &self.mailboxes[worker];
+                mailbox.lock().closed = true;
+                mailbox.wake.notify_one();
             }
-            if !inner.open {
-                return None;
-            }
-            inner = self.cv.wait(inner).expect("channel wait");
         }
     }
 
-    fn close(&self) {
-        let mut inner = self.inner.lock().expect("channel lock");
-        inner.open = false;
-        drop(inner);
-        self.cv.notify_all();
-    }
-}
-
-/// One shared queue, every worker pulls from it (software 1×N).
-pub struct SingleQueue<T> {
-    channel: Channel<T>,
-}
-
-impl<T: Send> SingleQueue<T> {
-    /// Creates the shared queue.
-    pub fn new() -> Self {
-        SingleQueue {
-            channel: Channel::new(),
+    /// Current occupancy gauges (advisory; safe to call while serving).
+    pub fn gauges(&self) -> DispatchGauges {
+        let mut total = DispatchGauges::default();
+        for index in 0..self.queues.len() {
+            let g = self.queue(index).gauges;
+            total.queue_high_water = total.queue_high_water.max(g.queue_high_water);
+            total.ring_high_water = total.ring_high_water.max(g.ring_high_water);
+            total.replenish_batches += g.replenish_batches;
         }
-    }
-}
-
-impl<T: Send> Default for SingleQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send> Dispatcher<T> for SingleQueue<T> {
-    fn submit(&self, _route: RouteKey, item: T) {
-        self.channel.push(item);
-    }
-
-    fn recv(&self, _worker: usize) -> Option<T> {
-        self.channel.pop_blocking()
-    }
-
-    fn shutdown(&self) {
-        self.channel.close();
-    }
-
-    fn gauges(&self) -> DispatchGauges {
-        DispatchGauges {
-            queue_high_water: self.channel.high_water(),
-            ..DispatchGauges::default()
-        }
-    }
-}
-
-/// `G` queues feeding `workers / G` workers each; arrivals spread
-/// uniformly by sequence-number hash.
-pub struct Partitioned<T> {
-    groups: Vec<Channel<T>>,
-    workers: usize,
-}
-
-impl<T: Send> Partitioned<T> {
-    /// Creates `groups` queues for `workers` workers.
-    ///
-    /// # Panics
-    /// Panics unless `0 < groups ≤ workers` and `groups` divides
-    /// `workers`.
-    pub fn new(groups: usize, workers: usize) -> Self {
-        assert!(
-            groups > 0 && groups <= workers && workers.is_multiple_of(groups),
-            "groups ({groups}) must divide workers ({workers})"
-        );
-        Partitioned {
-            groups: (0..groups).map(|_| Channel::new()).collect(),
-            workers,
-        }
-    }
-
-    fn group_of_worker(&self, worker: usize) -> usize {
-        worker * self.groups.len() / self.workers
-    }
-}
-
-impl<T: Send> Dispatcher<T> for Partitioned<T> {
-    fn submit(&self, route: RouteKey, item: T) {
-        let g = (split_seed(route.seq, UNI_SALT) % self.groups.len() as u64) as usize;
-        self.groups[g].push(item);
-    }
-
-    fn recv(&self, worker: usize) -> Option<T> {
-        self.groups[self.group_of_worker(worker)].pop_blocking()
-    }
-
-    fn shutdown(&self) {
-        for g in &self.groups {
-            g.close();
-        }
-    }
-
-    fn gauges(&self) -> DispatchGauges {
-        DispatchGauges {
-            queue_high_water: self.groups.iter().map(Channel::high_water).max().unwrap_or(0),
-            ..DispatchGauges::default()
-        }
-    }
-}
-
-/// One queue per worker, routed by connection hash (RSS flow affinity).
-pub struct RssStatic<T> {
-    queues: Vec<Channel<T>>,
-}
-
-impl<T: Send> RssStatic<T> {
-    /// Creates one queue per worker.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        RssStatic {
-            queues: (0..workers).map(|_| Channel::new()).collect(),
-        }
-    }
-
-    /// The worker a connection's requests are pinned to.
-    pub fn worker_for_conn(&self, conn: u64) -> usize {
-        (split_seed(conn, RSS_SALT) % self.queues.len() as u64) as usize
-    }
-}
-
-impl<T: Send> Dispatcher<T> for RssStatic<T> {
-    fn submit(&self, route: RouteKey, item: T) {
-        self.queues[self.worker_for_conn(route.conn)].push(item);
-    }
-
-    fn recv(&self, worker: usize) -> Option<T> {
-        self.queues[worker].pop_blocking()
-    }
-
-    fn shutdown(&self) {
-        for q in &self.queues {
-            q.close();
-        }
-    }
-
-    fn gauges(&self) -> DispatchGauges {
-        DispatchGauges {
-            queue_high_water: self.queues.iter().map(Channel::high_water).max().unwrap_or(0),
-            ..DispatchGauges::default()
-        }
-    }
-}
-
-/// Shared state between the replenish dispatch thread and the workers.
-struct ReplenishShared<T> {
-    /// Incoming requests from reader threads.
-    inject: Channel<T>,
-    /// Free-worker announcements (the NI's replenish queue).
-    ring: SlotRing,
-    /// One single-item-ish mailbox per worker.
-    mailboxes: Vec<Channel<T>>,
-    /// Doorbell the workers ring after posting to `ring`, so the
-    /// dispatch thread never polls: the ring stays the lock-free data
-    /// path, the condvar is only the wake-up.
-    doorbell: Mutex<()>,
-    doorbell_cv: Condvar,
-    stop: AtomicBool,
-    /// Free-worker slots currently posted to `ring` (approximate while
-    /// racing, exact at quiescence) and its high water.
-    ring_occupancy: AtomicU64,
-    ring_high_water: AtomicU64,
-    /// Deliveries made (each hands one batch to one worker).
-    batches: AtomicU64,
-}
-
-/// The RPCValet discipline in software: a dispatch thread pairs each
-/// request with the first worker that has posted a free slot.
-///
-/// With `batch > 1` each availability slot hands the worker up to
-/// `batch` already-queued requests at once, amortizing the
-/// replenish/doorbell round trip under saturation — the sensitivity knob
-/// `ablation_sensitivity` sweeps. Batching trades the purity of
-/// single-queue dispatch (a batched request is pinned to its worker like
-/// a tiny multi-queue) for handoff cost, exactly the paper's §4.3
-/// outstanding-threshold tradeoff in software form.
-pub struct Replenish<T: Send + 'static> {
-    shared: Arc<ReplenishShared<T>>,
-    dispatch_thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl<T: Send + 'static> Replenish<T> {
-    /// Creates the dispatcher (batch 1: one request per availability
-    /// slot) and spawns its dispatch thread.
-    pub fn new(workers: usize) -> Self {
-        Self::with_batch(workers, 1)
-    }
-
-    /// Creates a dispatcher that hands up to `batch` queued requests to
-    /// a worker per availability slot.
-    ///
-    /// # Panics
-    /// Panics if `workers == 0` or `batch == 0`.
-    pub fn with_batch(workers: usize, batch: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        assert!(batch > 0, "batch must be at least 1");
-        let shared = Arc::new(ReplenishShared {
-            inject: Channel::new(),
-            ring: SlotRing::with_capacity(workers),
-            mailboxes: (0..workers).map(|_| Channel::new()).collect(),
-            doorbell: Mutex::new(()),
-            doorbell_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            ring_occupancy: AtomicU64::new(0),
-            ring_high_water: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("replenish-dispatch".to_owned())
-            .spawn(move || dispatch_loop(&thread_shared, batch))
-            .expect("spawn dispatch thread");
-        Replenish {
-            shared,
-            dispatch_thread: Mutex::new(Some(handle)),
-        }
-    }
-}
-
-impl<T> ReplenishShared<T> {
-    /// Pops a free-worker slot, keeping the occupancy gauge in step.
-    fn take_slot(&self) -> Option<usize> {
-        let worker = self.ring.pop()?;
-        self.ring_occupancy.fetch_sub(1, Ordering::Relaxed);
-        Some(worker)
-    }
-}
-
-fn dispatch_loop<T: Send>(shared: &ReplenishShared<T>, batch: usize) {
-    crate::reduce_timer_slack();
-    while let Some(item) = shared.inject.pop_blocking() {
-        // Wait for the first free worker; the ring is the only wait —
-        // there is no per-request queue choice to make (§4.2). The wait
-        // is doorbell-driven, not polled: a poll loop's sleep quantum
-        // (plus Linux timer slack) would add dead time to every
-        // saturated dispatch, silently inflating effective utilization.
-        loop {
-            if let Some(worker) = shared.take_slot() {
-                deliver(shared, worker, item, batch);
-                break;
-            }
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let guard = shared.doorbell.lock().expect("doorbell lock");
-            // A worker may have rung between the failed pop and the
-            // lock: re-check before sleeping, or the wake-up is lost.
-            if let Some(worker) = shared.take_slot() {
-                drop(guard);
-                deliver(shared, worker, item, batch);
-                break;
-            }
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            // The timeout only bounds shutdown latency; normal wake-ups
-            // come from the doorbell.
-            let _ = shared
-                .doorbell_cv
-                .wait_timeout(guard, std::time::Duration::from_millis(5))
-                .expect("doorbell wait");
-        }
-    }
-}
-
-/// Hands `item` to `worker`, plus up to `batch - 1` more already-queued
-/// requests (never waiting for arrivals: batching amortizes handoff, it
-/// must not delay dispatch). The whole batch lands in the mailbox in
-/// one critical section — if the worker could observe the first item
-/// alone, it might drain it, find the mailbox empty, and re-announce
-/// while this delivery is still in flight, putting a second slot for
-/// the same worker in the ring.
-fn deliver<T: Send>(shared: &ReplenishShared<T>, worker: usize, item: T, batch: usize) {
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    if batch == 1 {
-        shared.mailboxes[worker].push(item);
-        return;
-    }
-    let mut items = Vec::with_capacity(batch);
-    items.push(item);
-    for _ in 1..batch {
-        match shared.inject.try_pop() {
-            Some(extra) => items.push(extra),
-            None => break,
-        }
-    }
-    shared.mailboxes[worker].push_all(items);
-}
-
-impl<T: Send + 'static> Dispatcher<T> for Replenish<T> {
-    fn submit(&self, _route: RouteKey, item: T) {
-        self.shared.inject.push(item);
-    }
-
-    fn recv(&self, worker: usize) -> Option<T> {
-        // Drain any batched leftovers first: a worker with pending
-        // mailbox items is not available, so it must not re-announce
-        // (that would turn one slot into several).
-        if let Some(item) = self.shared.mailboxes[worker].try_pop() {
-            return Some(item);
-        }
-        // Announce availability, then wait for the dispatch thread's
-        // handoff. The push cannot fail: the ring holds `workers` slots
-        // and each worker has at most one announcement outstanding.
-        assert!(
-            self.shared.ring.push(worker),
-            "replenish ring overflow (worker {worker} announced twice?)"
-        );
-        let occupancy = self.shared.ring_occupancy.fetch_add(1, Ordering::Relaxed) + 1;
-        self.shared.ring_high_water.fetch_max(occupancy, Ordering::Relaxed);
-        // Ring the doorbell under the lock so the dispatch thread cannot
-        // miss it between its ring re-check and its wait.
-        drop(self.shared.doorbell.lock().expect("doorbell lock"));
-        self.shared.doorbell_cv.notify_one();
-        self.shared.mailboxes[worker].pop_blocking()
-    }
-
-    fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.inject.close();
-        drop(self.shared.doorbell.lock().expect("doorbell lock"));
-        self.shared.doorbell_cv.notify_all();
-        if let Some(handle) = self
-            .dispatch_thread
-            .lock()
-            .expect("dispatch thread lock")
-            .take()
-        {
-            let _ = handle.join();
-        }
-        for mb in &self.shared.mailboxes {
-            mb.close();
-        }
-    }
-
-    fn gauges(&self) -> DispatchGauges {
-        DispatchGauges {
-            queue_high_water: self.shared.inject.high_water(),
-            ring_high_water: self.shared.ring_high_water.load(Ordering::Relaxed),
-            replenish_batches: self.shared.batches.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl<T: Send + 'static> Drop for Replenish<T> {
-    fn drop(&mut self) {
-        self.shutdown();
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use proptest::prelude::*;
 
-    fn route(conn: u64, seq: u64) -> RouteKey {
-        RouteKey { conn, seq }
-    }
-
-    /// Runs `n` items through a dispatcher with `workers` pulling threads
-    /// and returns per-worker receive counts.
-    fn drain<D: Dispatcher<u64> + 'static>(d: Arc<D>, workers: usize, n: u64) -> Vec<u64> {
-        let counts: Arc<Vec<AtomicU64>> =
-            Arc::new((0..workers).map(|_| AtomicU64::new(0)).collect());
-        let received = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let d = Arc::clone(&d);
-            let counts = Arc::clone(&counts);
-            let received = Arc::clone(&received);
-            handles.push(std::thread::spawn(move || {
-                while d.recv(w).is_some() {
-                    counts[w].fetch_add(1, Ordering::Relaxed);
-                    received.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for i in 0..n {
-            d.submit(route(i % 7, i), i);
-        }
-        while received.load(Ordering::Relaxed) < n {
-            std::thread::yield_now();
-        }
-        d.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-        counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    #[test]
-    fn single_queue_delivers_everything() {
-        let counts = drain(Arc::new(SingleQueue::new()), 3, 300);
-        assert_eq!(counts.iter().sum::<u64>(), 300);
-    }
-
-    #[test]
-    fn partitioned_spreads_across_groups() {
-        let counts = drain(Arc::new(Partitioned::new(2, 4)), 4, 400);
-        assert_eq!(counts.iter().sum::<u64>(), 400);
-        // Both groups must have seen traffic.
-        let g0 = counts[0] + counts[1];
-        let g1 = counts[2] + counts[3];
-        assert!(g0 > 0 && g1 > 0, "group counts {g0}/{g1}");
-    }
-
-    #[test]
-    fn rss_pins_connections_to_workers() {
-        let d = RssStatic::<u64>::new(4);
-        // All items from one connection land on exactly one worker queue.
-        let pinned = d.worker_for_conn(5);
-        for i in 0..10 {
-            d.submit(route(5, i), i);
-        }
-        for i in 0..10 {
-            assert_eq!(d.recv(pinned), Some(i), "pinned worker sees the flow");
-        }
-        // Nothing leaked to the other workers: after shutdown their
-        // queues drain straight to None.
-        d.shutdown();
-        for w in 0..4 {
-            assert_eq!(d.recv(w), None);
-        }
-    }
-
-    #[test]
-    fn replenish_delivers_everything_and_balances() {
-        let counts = drain(Arc::new(Replenish::new(4)), 4, 400);
-        assert_eq!(counts.iter().sum::<u64>(), 400);
-        // Free-worker matching keeps every worker busy: nobody starves.
-        assert!(
-            counts.iter().all(|&c| c > 0),
-            "replenish starves a worker: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn batched_replenish_delivers_everything() {
-        for batch in [2usize, 4, 8] {
-            let counts = drain(Arc::new(Replenish::with_batch(3, batch)), 3, 300);
-            assert_eq!(counts.iter().sum::<u64>(), 300, "batch {batch}");
-            assert!(
-                counts.iter().all(|&c| c > 0),
-                "batch {batch} starves a worker: {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_worker_drains_mailbox_before_reannouncing() {
-        // One worker, batch 4: the dispatch thread may stuff several
-        // items into the mailbox per announcement; recv must hand them
-        // all out (in order) without tripping the ring-overflow assert.
-        let d = Arc::new(Replenish::with_batch(1, 4));
-        for i in 0..40u64 {
-            d.submit(route(0, i), i);
-        }
-        let mut got = Vec::new();
-        for _ in 0..40 {
-            got.push(d.recv(0).unwrap());
-        }
-        assert_eq!(got, (0..40).collect::<Vec<_>>());
-        d.shutdown();
-    }
-
-    #[test]
-    fn shutdown_unblocks_idle_workers() {
-        let d: Arc<dyn Dispatcher<u64>> = make_dispatcher(LivePolicy::Replenish, 2);
-        let d2 = Arc::clone(&d);
-        let waiter = std::thread::spawn(move || d2.recv(0));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        d.shutdown();
-        assert_eq!(waiter.join().unwrap(), None);
-    }
+    const POLICIES: [LivePolicy; 4] = [
+        LivePolicy::SingleQueue,
+        LivePolicy::Partitioned { groups: 2 },
+        LivePolicy::RssStatic,
+        LivePolicy::Replenish,
+    ];
 
     #[test]
     fn policy_labels_and_parsing() {
@@ -806,57 +507,295 @@ mod tests {
         assert_eq!(LivePolicy::Replenish.key(), "live-replenish");
     }
 
-    proptest::proptest! {
+    #[test]
+    #[should_panic(expected = "must divide")]
+    fn partitioned_rejects_nondivisor_groups() {
+        make_dispatcher::<u64>(LivePolicy::Partitioned { groups: 3 }, 4);
+    }
+
+    /// The same discipline over plain `VecDeque`s and no locks: what
+    /// waits per queue, who is idle per queue, what each worker holds —
+    /// and the paper's routing written out again, so that `queue_of` and
+    /// `queue_for` are checked rather than trusted.
+    struct Oracle {
+        policy: LivePolicy,
+        waiting: Vec<VecDeque<u64>>,
+        idle: Vec<VecDeque<usize>>,
+        held: Vec<VecDeque<u64>>,
+    }
+
+    impl Oracle {
+        fn new(policy: LivePolicy, workers: usize) -> Self {
+            let queues = match policy {
+                LivePolicy::SingleQueue | LivePolicy::Replenish => 1,
+                LivePolicy::Partitioned { groups } => groups,
+                LivePolicy::RssStatic => workers,
+            };
+            Oracle {
+                policy,
+                waiting: vec![VecDeque::new(); queues],
+                idle: vec![VecDeque::new(); queues],
+                held: vec![VecDeque::new(); workers],
+            }
+        }
+
+        fn queue_of(&self, route: RouteKey) -> usize {
+            let n = self.waiting.len() as u64;
+            match self.policy {
+                LivePolicy::SingleQueue | LivePolicy::Replenish => 0,
+                LivePolicy::Partitioned { .. } => (split_seed(route.seq, UNI_SALT) % n) as usize,
+                LivePolicy::RssStatic => (split_seed(route.conn, RSS_SALT) % n) as usize,
+            }
+        }
+
+        /// Consecutive workers share a group: `workers / queues` each.
+        fn queue_for(&self, worker: usize) -> usize {
+            worker / (self.held.len() / self.waiting.len())
+        }
+    }
+
+    /// Drives the real dispatcher from one thread (`poll`, so nothing
+    /// blocks) through a seeded sequence of arrivals and worker
+    /// requests, checks every answer against the [`Oracle`] and the
+    /// invariants after every step, then shuts down and drains. Returns
+    /// the delivery log `(worker, item)`; an item is `conn << 32 | seq`.
+    fn run_model(
+        policy: LivePolicy,
+        workers: usize,
+        batch: usize,
+        seed: u64,
+    ) -> Result<Vec<(usize, u64)>, TestCaseError> {
+        let d = make_dispatcher_batched::<u64>(policy, workers, batch);
+        let mut o = Oracle::new(policy, workers);
+        let queues = o.waiting.len();
+        prop_assert_eq!(d.queues.len(), queues);
+        let mut log = Vec::new();
+        let mut submitted = 0u64;
+        let mut deepest = 0;
+        for step in 0..160u64 {
+            let r = split_seed(seed, step);
+            let worker = (r >> 8) as usize % workers;
+            let parked = o.idle[o.queue_for(worker)].contains(&worker);
+            if r % 5 < 2 {
+                let route = RouteKey {
+                    conn: (r >> 8) % 5,
+                    seq: submitted,
+                };
+                let (q, item) = (o.queue_of(route), route.conn << 32 | submitted);
+                submitted += 1;
+                d.submit(route, item);
+                match o.idle[q].pop_front() {
+                    Some(w) => o.held[w].push_back(item),
+                    None => o.waiting[q].push_back(item),
+                }
+                deepest = deepest.max(o.waiting[q].len() as u64);
+            } else if parked {
+                // A parked worker is blocked in `recv`; it comes back
+                // only once a hand-off has filled its mailbox (below).
+            } else {
+                let q = o.queue_for(worker);
+                let expected = match o.held[worker].pop_front() {
+                    Some(item) => Pull::Item(item),
+                    None => match o.waiting[q].pop_front() {
+                        Some(first) => {
+                            let extra = o.waiting[q].len().min(d.batch - 1);
+                            let rest = o.waiting[q].drain(..extra);
+                            o.held[worker].extend(rest);
+                            Pull::Item(first)
+                        }
+                        None => {
+                            o.idle[q].push_back(worker);
+                            Pull::Parked
+                        }
+                    },
+                };
+                prop_assert_eq!(d.poll(worker), expected, "step {}", step);
+                if let Pull::Item(item) = expected {
+                    log.push((worker, item));
+                }
+            }
+            // Invariants, on the dispatcher's own state.
+            for (q, queue) in d.queues.iter().enumerate() {
+                let queue = queue.lock().unwrap();
+                prop_assert_eq!(&queue.pending, &o.waiting[q], "FCFS per queue");
+                prop_assert_eq!(&queue.idle, &o.idle[q], "longest-idle first");
+                prop_assert!(
+                    queue.pending.is_empty() || queue.idle.is_empty(),
+                    "work conservation: queue {} holds items beside idle workers",
+                    q
+                );
+                prop_assert!(queue.idle.len() <= workers / queues);
+                for &w in &queue.idle {
+                    prop_assert!(o.held[w].is_empty(), "parked with mail: worker {}", w);
+                }
+            }
+            for (w, mailbox) in d.mailboxes.iter().enumerate() {
+                prop_assert_eq!(&mailbox.lock().items, &o.held[w], "mailbox {}", w);
+            }
+        }
+        let gauges = d.gauges();
+        prop_assert_eq!(gauges.queue_high_water, deepest);
+        prop_assert!(gauges.ring_high_water <= (workers / queues) as u64);
+        if d.batch == 1 {
+            let in_hand: usize = o.held.iter().map(VecDeque::len).sum();
+            prop_assert_eq!(gauges.replenish_batches, (log.len() + in_hand) as u64);
+        }
+        // Closed *and* drained: every parked worker wakes empty-handed,
+        // every other one gets what is left before its `None`.
+        d.shutdown();
+        for worker in 0..workers {
+            let parked = o.idle[o.queue_for(worker)].contains(&worker);
+            prop_assert_eq!(d.mailboxes[worker].lock().closed, parked);
+            while let Some(item) = d.recv(worker) {
+                log.push((worker, item));
+            }
+        }
+        // Each item exactly once (an RSS queue whose worker was parked
+        // at shutdown is empty by work conservation).
+        let mut seen: Vec<u64> = log.iter().map(|&(_, item)| item & 0xFFFF_FFFF).collect();
+        seen.sort_unstable();
+        prop_assert_eq!(seen, (0..submitted).collect::<Vec<_>>());
+        if policy == LivePolicy::RssStatic {
+            // One worker per connection, in arrival order.
+            for conn in 0..5u64 {
+                let of_conn = log.iter().filter(|&&(_, item)| item >> 32 == conn);
+                let (ws, items): (Vec<_>, Vec<_>) = of_conn.copied().unzip();
+                prop_assert!(ws.windows(2).all(|w| w[0] == w[1]), "conn {} moved", conn);
+                prop_assert!(items.is_sorted(), "conn {} reordered", conn);
+            }
+        }
+        Ok(log)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn core_matches_the_oracle_on_random_schedules(
+            seed in any::<u64>(),
+            which in 0usize..4,
+            workers in prop_oneof![Just(2usize), Just(4usize), Just(6usize)],
+            batch in 1usize..5,
+        ) {
+            let log = run_model(POLICIES[which], workers, batch, seed)?;
+            // Replenish at batch 1 *is* the single queue: same schedule,
+            // same worker for every request.
+            if POLICIES[which] == LivePolicy::SingleQueue {
+                let replenish = run_model(LivePolicy::Replenish, workers, 1, seed)?;
+                prop_assert_eq!(log, replenish);
+            }
+        }
+
         /// `Display` and `FromStr` are a pinned round-trip: every
         /// policy parses back from its canonical rendering, so CLI
         /// flags, scenario specs, and report labels can move through
         /// strings without drifting.
         #[test]
         fn display_from_str_roundtrip(which in 0usize..4, groups in 1usize..64) {
-            let policy = match which {
-                0 => LivePolicy::SingleQueue,
-                1 => LivePolicy::Partitioned { groups },
-                2 => LivePolicy::RssStatic,
-                _ => LivePolicy::Replenish,
+            let policy = match POLICIES[which] {
+                LivePolicy::Partitioned { .. } => LivePolicy::Partitioned { groups },
+                other => other,
             };
             let rendered = policy.to_string();
             let back: LivePolicy = rendered.parse().map_err(
-                |e: ParsePolicyError| proptest::TestCaseError::fail(e.to_string()),
+                |e: ParsePolicyError| TestCaseError::fail(e.to_string()),
             )?;
-            proptest::prop_assert_eq!(back, policy, "via `{}`", rendered);
+            prop_assert_eq!(back, policy, "via `{}`", rendered);
         }
     }
 
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn partitioned_rejects_nondivisor_groups() {
-        Partitioned::<u64>::new(3, 4);
-    }
-
-    #[test]
-    fn queue_gauge_tracks_high_water() {
-        let d = SingleQueue::new();
-        for i in 0..5u64 {
-            d.submit(route(0, i), i);
+    /// What each of `workers` workers gets of `routes` once the
+    /// dispatcher is shut down and drained.
+    fn drained_by_worker(
+        policy: LivePolicy,
+        workers: usize,
+        routes: impl Iterator<Item = RouteKey>,
+    ) -> Vec<Vec<u64>> {
+        let d = make_dispatcher::<u64>(policy, workers);
+        for route in routes {
+            d.submit(route, route.seq);
         }
-        d.recv(0);
-        d.submit(route(0, 9), 9);
-        assert_eq!(d.gauges().queue_high_water, 5, "peak, not current depth");
-        assert_eq!(d.gauges().ring_high_water, 0, "no ring on a lock policy");
         d.shutdown();
+        let drain = |worker| std::iter::from_fn(|| d.recv(worker)).collect();
+        (0..workers).map(drain).collect()
     }
 
     #[test]
-    fn replenish_gauges_count_ring_and_batches() {
-        let d = Arc::new(Replenish::new(3));
-        let counts = drain(Arc::clone(&d), 3, 300);
-        assert_eq!(counts.iter().sum::<u64>(), 300);
+    fn partitioned_spreads_across_groups() {
+        let routes = (0..400).map(|seq| RouteKey { conn: 0, seq });
+        let got = drained_by_worker(LivePolicy::Partitioned { groups: 2 }, 4, routes);
+        let g0 = got[0].len() + got[1].len();
+        let g1 = got[2].len() + got[3].len();
+        assert_eq!(g0 + g1, 400);
+        // One connection, yet both groups see traffic, about evenly.
+        assert!(g0.abs_diff(g1) < 100, "group counts {g0}/{g1}");
+    }
+
+    #[test]
+    fn rss_pins_connections_to_workers() {
+        let routes = (0..400).map(|seq| RouteKey { conn: seq % 40, seq });
+        let got = drained_by_worker(LivePolicy::RssStatic, 4, routes);
+        assert_eq!(got.iter().map(Vec::len).sum::<usize>(), 400);
+        for (worker, items) in got.iter().enumerate() {
+            // Forty flows land on every worker, and none on two.
+            assert!(!items.is_empty(), "worker {worker} got no flow");
+            assert!(items.is_sorted(), "worker {worker} reordered a flow");
+            let elsewhere = got.iter().enumerate().filter(|&(w, _)| w != worker);
+            for (_, other) in elsewhere {
+                let shared = items.iter().any(|a| other.iter().any(|b| a % 40 == b % 40));
+                assert!(!shared, "a connection reached two workers");
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_delivers_every_pending_item_before_none() {
+        for policy in POLICIES {
+            for batch in [1, 3] {
+                let d = make_dispatcher_batched::<u64>(policy, 4, batch);
+                for seq in 0..23 {
+                    d.submit(RouteKey { conn: seq % 7, seq }, seq);
+                }
+                d.shutdown();
+                d.shutdown(); // idempotent
+                let mut got = Vec::new();
+                for worker in 0..4 {
+                    got.extend(std::iter::from_fn(|| d.recv(worker)));
+                    assert_eq!(d.recv(worker), None, "{policy}: None is forever");
+                }
+                got.sort_unstable();
+                assert_eq!(got, (0..23).collect::<Vec<_>>(), "{policy} batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_a_parked_worker_empty_handed() {
+        for policy in POLICIES {
+            let d = make_dispatcher::<u64>(policy, 2);
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| d.recv(0));
+                // Shut down only once the worker has registered idle.
+                while d.gauges().ring_high_water == 0 {
+                    std::thread::yield_now();
+                }
+                d.shutdown();
+                assert_eq!(waiter.join().unwrap(), None, "{policy}");
+            });
+        }
+    }
+
+    #[test]
+    fn gauges_count_waiting_depth_parked_workers_and_deliveries() {
+        let d = make_dispatcher::<u64>(LivePolicy::SingleQueue, 2);
+        for seq in 0..5 {
+            d.submit(RouteKey { conn: 0, seq }, seq);
+        }
+        assert_eq!(d.recv(0), Some(0));
+        d.submit(RouteKey { conn: 0, seq: 9 }, 9);
         let g = d.gauges();
-        assert_eq!(g.replenish_batches, 300, "batch 1: one delivery per item");
-        assert!(
-            (1..=3).contains(&g.ring_high_water),
-            "free-worker high water within worker count: {}",
-            g.ring_high_water
-        );
+        assert_eq!(g.queue_high_water, 5, "peak, not current depth");
+        assert_eq!(g.ring_high_water, 0, "nobody ever parked");
+        assert_eq!(g.replenish_batches, 1);
     }
 }

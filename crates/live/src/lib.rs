@@ -5,15 +5,18 @@
 //! multi-threaded RPC server ([`Server`], shipped as the `valetd`
 //! binary) and an open-loop Poisson load generator ([`run_loadgen`], the
 //! `loadgen` binary) speak a tiny length-prefixed protocol over loopback
-//! TCP, with the paper's dispatch policies implemented as software
-//! [`Dispatcher`]s:
+//! TCP, with the paper's dispatch policies implemented on one passive
+//! [`Dispatcher`] core. The connection's reader thread plays the NI: it
+//! matches each arrival to the longest-idle worker *in the arrival
+//! path* — one wake-up, no dispatch thread in between — or queues it
+//! for the next worker that asks. A policy is only the choice of queue:
 //!
-//! | policy | paper analogue |
-//! |---|---|
-//! | [`LivePolicy::SingleQueue`] | software 1×16 (shared lock-protected queue) |
-//! | [`LivePolicy::Partitioned`] | 4×4 hardware partitioned dispatch |
-//! | [`LivePolicy::RssStatic`] | 16×1 receive-side scaling |
-//! | [`LivePolicy::Replenish`] | RPCValet: free workers post slots to a lock-free ring, a dispatch thread matches requests to them |
+//! | policy | paper analogue | queue a request joins / a worker serves |
+//! |---|---|---|
+//! | [`LivePolicy::SingleQueue`] | software 1×16 | the one shared queue |
+//! | [`LivePolicy::Partitioned`] | 4×4 hardware partitioned dispatch | one of `G`, by sequence hash / its group's |
+//! | [`LivePolicy::RssStatic`] | 16×1 receive-side scaling | its connection's, by hash / its own |
+//! | [`LivePolicy::Replenish`] | RPCValet | the one shared queue; workers may replenish up to `replenish_batch` waiting requests at a time |
 //!
 //! The point is the paper's own model-vs-measurement discipline (its
 //! Fig. 2 queueing models vs Fig. 7–9 system results): the simulator
@@ -61,7 +64,6 @@ pub mod dispatch;
 pub mod exporter;
 pub mod loadgen;
 pub mod protocol;
-pub mod ring;
 pub mod server;
 pub mod stats;
 
@@ -76,7 +78,6 @@ pub use protocol::{
     encode_metrics_request, encode_stats_request, read_frame, write_frame, DrainAction, DrainReply,
     MetricsReply, MetricsWindow, Request, Response, StatsSnapshot, WorkerStats,
 };
-pub use ring::SlotRing;
 pub use server::{BurnMode, Server, ServerConfig};
 pub use stats::{render_prometheus, MetricsHub, ServerStats, TraceSink, SAMPLES_PER_WINDOW};
 
@@ -92,10 +93,10 @@ use telemetry::{EventRing, RingFlusher, TraceEvent};
 /// scheduling latency only instead of the default ~50 µs slack.
 ///
 /// Called by every latency-sensitive thread (workers in sleep-burn mode,
-/// the replenish dispatch thread, the load generator's sender): with the
-/// default slack, each sleep-burned service time silently stretches by
-/// tens of µs, which at µs-scale services shifts the *effective* load of
-/// a run well above its nominal load. No-op off Linux or on failure.
+/// the load generator's sender): with the default slack, each
+/// sleep-burned service time silently stretches by tens of µs, which at
+/// µs-scale services shifts the *effective* load of a run well above its
+/// nominal load. No-op off Linux or on failure.
 pub fn reduce_timer_slack() {
     #[cfg(target_os = "linux")]
     {

@@ -279,12 +279,13 @@ pub struct StatsSnapshot {
     pub requests_rx: u64,
     /// Request bytes read, length prefixes included.
     pub bytes_rx: u64,
-    /// Dispatch-queue depth high water (max over the policy's queues).
+    /// Deepest the requests waiting for a worker ever got (max over the
+    /// policy's queues).
     pub queue_high_water: u64,
-    /// Replenish-ring occupancy high water (free workers posted at
-    /// once; 0 for non-replenish policies).
+    /// Most workers parked idle on one queue at once.
     pub ring_high_water: u64,
-    /// Replenish batches delivered (0 for non-replenish policies).
+    /// Deliveries to workers: one request each, or one batch under
+    /// replenish batching.
     pub replenish_batches: u64,
     /// Trace events lost to a full ring since server start (0 when
     /// tracing is off or the capture is whole). A non-zero value means
@@ -527,16 +528,81 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     if !read_exact_or_eof(r, &mut len_buf)? {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(len_buf);
+    let mut payload = vec![0u8; payload_len(len_buf)?];
+    r.read_exact(&mut payload)?;
+    Ok(Some(payload))
+}
+
+/// Decodes a length prefix, rejecting empty and oversized frames before
+/// anything is allocated for them.
+fn payload_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix);
     if len == 0 || len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("bad frame length {len}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    Ok(len as usize)
+}
+
+/// A connection's reusable receive buffer: [`read_frame`] for the
+/// server's hot path. One `read` usually brings a whole frame (or
+/// several pipelined ones) and payloads are borrowed from the buffer,
+/// so a request costs one syscall and no allocation.
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader {
+            buf: vec![0; 1024],
+            start: 0,
+            end: 0,
+        }
+    }
+}
+
+impl FrameReader {
+    /// The next frame's payload (never empty), valid until the next
+    /// call. `Ok(None)` on a clean EOF at a frame boundary; EOF
+    /// mid-frame is an error.
+    pub fn next_frame<R: Read>(&mut self, r: &mut R) -> io::Result<Option<&[u8]>> {
+        loop {
+            let have = self.end - self.start;
+            if have >= 4 {
+                let prefix = &self.buf[self.start..self.start + 4];
+                let frame = 4 + payload_len(prefix.try_into().expect("four bytes"))?;
+                if have >= frame {
+                    let payload = self.start + 4..self.start + frame;
+                    self.start += frame;
+                    return Ok(Some(&self.buf[payload]));
+                }
+                // Grows only to a length the check above has bounded.
+                if self.buf.len() < frame {
+                    self.buf.resize(frame, 0);
+                }
+            }
+            // Make room by moving the partial frame to the front.
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, have);
+            match r.read(&mut self.buf[have..]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => return Err(eof_mid_frame()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+fn eof_mid_frame() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "EOF mid-frame")
 }
 
 /// Like `read_exact`, but a clean EOF before the first byte returns
@@ -546,12 +612,7 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF mid-frame",
-                ))
-            }
+            Ok(0) => return Err(eof_mid_frame()),
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -803,5 +864,80 @@ mod tests {
         };
         let frame = resp.encode();
         assert!(Request::decode(&frame[4..]).is_err());
+    }
+
+    /// Hands out at most `chunk` bytes per `read`, like a slow socket.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes.len().min(self.chunk).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_agrees_with_read_frame_however_reads_split() {
+        // Small frames, one larger than the initial buffer, small again.
+        let mut wire = Vec::new();
+        for id in 0..40u64 {
+            let req = Request {
+                req_id: id,
+                sent_at_ns: id,
+                service_ns: 0,
+            };
+            wire.extend_from_slice(&req.encode());
+        }
+        let snap = StatsSnapshot {
+            per_worker: vec![WorkerStats::default(); 200],
+            ..StatsSnapshot::default()
+        };
+        wire.extend_from_slice(&snap.encode());
+        wire.extend_from_slice(&encode_stats_request());
+        let mut expected = Vec::new();
+        let mut cursor = io::Cursor::new(&wire[..]);
+        while let Some(payload) = read_frame(&mut cursor).unwrap() {
+            expected.push(payload);
+        }
+        assert_eq!(expected.len(), 42);
+        for chunk in [1, 3, 29, 33, 100, usize::MAX] {
+            let mut source = Trickle {
+                bytes: &wire,
+                chunk,
+            };
+            let mut reader = FrameReader::default();
+            let mut got = Vec::new();
+            while let Some(payload) = reader.next_frame(&mut source).unwrap() {
+                got.push(payload.to_vec());
+            }
+            assert_eq!(got, expected, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn frame_reader_rejects_what_read_frame_rejects() {
+        let frame = Request {
+            req_id: 1,
+            sent_at_ns: 2,
+            service_ns: 3,
+        }
+        .encode();
+        let mut truncated = io::Cursor::new(&frame[..frame.len() - 3]);
+        let mut reader = FrameReader::default();
+        let err = reader.next_frame(&mut truncated).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        for bad in [0, MAX_FRAME_BYTES + 1, u32::MAX] {
+            let mut wire = bad.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[0u8; 16]);
+            let mut reader = FrameReader::default();
+            let err = reader.next_frame(&mut io::Cursor::new(wire)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "length {bad}");
+            assert_eq!(reader.buf.len(), 1024, "nothing allocated for it");
+        }
     }
 }

@@ -1,9 +1,13 @@
 //! `valetd`'s engine: a multi-threaded loopback RPC server.
 //!
-//! One reader thread per accepted connection parses request frames and
-//! submits them to the configured [`Dispatcher`]; `workers` worker
-//! threads pull requests, burn the demanded service time, and write the
-//! response back on the request's connection. The dispatch discipline is
+//! One reader thread per accepted connection — the NI front-end — parses
+//! request frames and makes the dispatch decision itself, in the arrival
+//! path ([`Dispatcher::submit`]); `workers` worker threads pull requests,
+//! burn the demanded service time, and write the response back on the
+//! request's connection. Those are all the threads there are: accept +
+//! workers + one reader per connection (+ the optional metrics sampler),
+//! and every one of them blocks without a timeout, so an idle server
+//! never wakes. The dispatch discipline is
 //! the only thing that changes between policies — everything else
 //! (sockets, framing, burning) is shared, so measured differences are
 //! the dispatch differences, the same isolation the simulator gets by
@@ -21,8 +25,8 @@ use telemetry::Hop;
 
 use crate::dispatch::{make_dispatcher_batched, Dispatcher, LivePolicy, RouteKey};
 use crate::protocol::{
-    decode_drain_request, decode_metrics_request, encode_shutdown_response, read_frame,
-    DrainAction, DrainReply, MetricsReply, Redirect, Request, Response, StatsSnapshot,
+    decode_drain_request, decode_metrics_request, encode_shutdown_response, DrainAction,
+    DrainReply, FrameReader, MetricsReply, Redirect, Request, Response, StatsSnapshot,
     KIND_DRAIN_REQUEST, KIND_METRICS_REQUEST, KIND_SHUTDOWN_REQUEST, KIND_STATS_REQUEST,
 };
 use crate::stats::{render_prometheus, MetricsHub, ServerStats, TraceSink, SAMPLES_PER_WINDOW};
@@ -85,10 +89,11 @@ pub struct ServerConfig {
     pub replenish_batch: usize,
     /// Request-lifecycle trace sink; `None` serves untraced. The hops
     /// stamped are the simulator's: arrival (frame read), reassembled
-    /// (frame decoded), dispatched (handed to the dispatch discipline),
-    /// started (a worker picked it up), completed (response written) —
-    /// so `started − dispatched` is exactly the discipline's queueing,
-    /// the quantity the sim↔live divergence report compares.
+    /// (frame decoded), dispatched (about to be handed to the dispatch
+    /// discipline), started (a worker picked it up), completed
+    /// (response written) — so `started − dispatched` is exactly the
+    /// discipline's hand-off and queueing, the quantity the sim↔live
+    /// divergence report compares.
     pub trace: Option<TraceSink>,
     /// Metrics window length; `Some` starts a sampler thread sealing one
     /// window per interval (sampled [`SAMPLES_PER_WINDOW`] times each),
@@ -125,7 +130,7 @@ struct ServerJob {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    dispatcher: Arc<dyn Dispatcher<ServerJob>>,
+    dispatcher: Arc<Dispatcher<ServerJob>>,
     accept_thread: Option<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<u64>>,
     /// Socket handles of live connections, keyed by connection id, for
@@ -158,8 +163,11 @@ impl Server {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let dispatcher: Arc<dyn Dispatcher<ServerJob>> =
-            make_dispatcher_batched(config.policy, config.workers, config.replenish_batch);
+        let dispatcher = Arc::new(make_dispatcher_batched(
+            config.policy,
+            config.workers,
+            config.replenish_batch,
+        ));
         let conns: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
         let reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let dispatched = Arc::new(AtomicU64::new(0));
@@ -206,7 +214,7 @@ impl Server {
             worker_threads.push(
                 std::thread::Builder::new()
                     .name(format!("valetd-worker-{w}"))
-                    .spawn(move || worker_loop(w, &*dispatcher, burn, &stats, trace.as_ref()))
+                    .spawn(move || worker_loop(w, &dispatcher, burn, &stats, trace.as_ref()))
                     .expect("spawn worker"),
             );
         }
@@ -258,7 +266,7 @@ impl Server {
                                 reader_loop(
                                     read_half,
                                     conn,
-                                    &*dispatcher,
+                                    &dispatcher,
                                     &reply,
                                     &dispatched,
                                     &stats,
@@ -489,7 +497,7 @@ impl Drop for Server {
 fn reader_loop(
     mut read_half: TcpStream,
     conn: u64,
-    dispatcher: &dyn Dispatcher<ServerJob>,
+    dispatcher: &Dispatcher<ServerJob>,
     reply: &Arc<Mutex<TcpStream>>,
     dispatched: &AtomicU64,
     stats: &ServerStats,
@@ -498,8 +506,9 @@ fn reader_loop(
     draining: &AtomicBool,
     shutdown_flag: &AtomicBool,
 ) {
+    let mut frames = FrameReader::default();
     // Runs until EOF or a socket/protocol error drops the connection.
-    while let Ok(Some(payload)) = read_frame(&mut read_half) {
+    while let Ok(Some(payload)) = frames.next_frame(&mut read_half) {
         // The STATS verb is answered inline: it never touches the
         // dispatcher, the sequence counter, or the request counters, so
         // querying telemetry perturbs neither dispatch nor statistics.
@@ -515,7 +524,7 @@ fn reader_loop(
         // sampler, the reply is well-formed but empty (zero interval,
         // zero windows) so clients need no out-of-band configuration.
         if payload.first() == Some(&KIND_METRICS_REQUEST) {
-            let Ok(since) = decode_metrics_request(&payload) else {
+            let Ok(since) = decode_metrics_request(payload) else {
                 break; // protocol error: drop the connection
             };
             let reply_frame = match metrics {
@@ -535,7 +544,7 @@ fn reader_loop(
         // with the current state plus the in-flight count, so a
         // supervisor can poll the same verb until the node is empty.
         if payload.first() == Some(&KIND_DRAIN_REQUEST) {
-            let Ok(action) = decode_drain_request(&payload) else {
+            let Ok(action) = decode_drain_request(payload) else {
                 break; // protocol error: drop the connection
             };
             match action {
@@ -570,7 +579,7 @@ fn reader_loop(
         // completions` stays the honest in-flight gauge), but tallied
         // in the redirects counter for the cluster accounting.
         if draining.load(Ordering::Acquire) {
-            if let Ok(req) = Request::decode(&payload) {
+            if let Ok(req) = Request::decode(payload) {
                 stats.note_redirect();
                 let frame = Redirect { req_id: req.req_id }.encode();
                 if let Ok(mut stream) = reply.lock() {
@@ -584,13 +593,19 @@ fn reader_loop(
         if let Some(sink) = trace {
             sink.record(seq, Hop::Arrival, conn as u16, 0);
         }
-        let Ok(req) = Request::decode(&payload) else {
+        let Ok(req) = Request::decode(payload) else {
             break; // protocol error: drop the connection
         };
         if let Some(sink) = trace {
             sink.record(seq, Hop::Reassembled, conn as u16, 0);
         }
         stats.note_request(4 + payload.len() as u64);
+        // Stamped before the hand-off: `submit` wakes a worker, and on a
+        // busy CPU that worker runs (and stamps `Started`) before this
+        // thread gets to its next line.
+        if let Some(sink) = trace {
+            sink.record(seq, Hop::Dispatched, conn as u16, 0);
+        }
         dispatcher.submit(
             RouteKey { conn, seq },
             ServerJob {
@@ -600,15 +615,12 @@ fn reader_loop(
                 conn,
             },
         );
-        if let Some(sink) = trace {
-            sink.record(seq, Hop::Dispatched, conn as u16, 0);
-        }
     }
 }
 
 fn worker_loop(
     worker: usize,
-    dispatcher: &dyn Dispatcher<ServerJob>,
+    dispatcher: &Dispatcher<ServerJob>,
     burn: BurnMode,
     stats: &ServerStats,
     trace: Option<&TraceSink>,
@@ -649,7 +661,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::write_frame;
+    use crate::protocol::{read_frame, write_frame};
     use std::io::Read;
 
     fn echo_one(policy: LivePolicy) {
@@ -851,6 +863,10 @@ mod tests {
             // Monotone pipeline on one clock; processing covers the burn.
             assert!(t.arrival_ps <= t.reassembled_ps);
             assert!(t.reassembled_ps <= t.dispatched_ps);
+            assert!(
+                t.dispatched_ps <= t.started_ps,
+                "no worker starts a request before it is dispatched"
+            );
             assert!(t.started_ps <= t.completed_ps);
             assert!(
                 t.processing_ns() >= 200_000.0,

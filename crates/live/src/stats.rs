@@ -277,7 +277,7 @@ pub fn render_prometheus(
     );
     counter(
         "valetd_replenish_batches_total",
-        "Replenish batches delivered (0 for non-replenish policies).",
+        "Deliveries to workers (one request each, or one replenish batch).",
         snapshot.replenish_batches,
     );
     counter(

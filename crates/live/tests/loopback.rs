@@ -61,44 +61,19 @@ fn single_queue_beats_rss_at_high_load() {
 }
 
 #[test]
-fn replenish_drains_and_matches_single_queue_tail() {
+fn replenish_drains_and_starves_no_worker() {
     let _machine = MACHINE.lock().unwrap_or_else(|e| e.into_inner());
-    let load = 0.7;
-    let requests = 1_500;
-    // Comparing two separate wall-clock runs' p99s on a shared 1-CPU
-    // box is noisy — one scheduling hiccup can double a tail. Allow two
-    // retries of the pair; a real regime difference fails every attempt.
-    for attempt in 0..3 {
-        let replenish = run_loopback(&spec(LivePolicy::Replenish, load, requests, 7)).unwrap();
-        let single = run_loopback(&spec(LivePolicy::SingleQueue, load, requests, 7)).unwrap();
-
-        assert_eq!(replenish.received, replenish.sent, "replenish run drained");
-        // Free-worker matching keeps both workers busy.
-        assert!(
-            replenish.worker_completions.iter().all(|&c| c > 0),
-            "replenish starved a worker: {:?}",
-            replenish.worker_completions
-        );
-        // Replenish implements the same single-queue discipline (first
-        // free worker wins), so its tail should be in the same regime —
-        // allow a generous 1.5× for the extra thread handoff.
-        let same_regime = replenish.p99_latency_ns <= single.p99_latency_ns * 1.5
-            || replenish.p99_latency_ns <= 5.0 * replenish.mean_service_ns;
-        if same_regime {
-            return;
-        }
-        assert!(
-            attempt < 2,
-            "replenish p99 {:.0} µs vs single-queue p99 {:.0} µs, three times",
-            replenish.p99_latency_ns / 1e3,
-            single.p99_latency_ns / 1e3
-        );
-        eprintln!(
-            "tail mismatch (replenish p99 {:.0} µs vs single {:.0} µs); retrying the pair",
-            replenish.p99_latency_ns / 1e3,
-            single.p99_latency_ns / 1e3
-        );
-    }
+    // That replenish (batch 1) dispatches exactly like the single queue
+    // is pinned without a clock by the model test in `dispatch.rs`;
+    // here only what needs real sockets: the run drains, and free-worker
+    // matching keeps both workers busy.
+    let replenish = run_loopback(&spec(LivePolicy::Replenish, 0.7, 1_500, 7)).unwrap();
+    assert_eq!(replenish.received, replenish.sent, "replenish run drained");
+    assert!(
+        replenish.worker_completions.iter().all(|&c| c > 0),
+        "replenish starved a worker: {:?}",
+        replenish.worker_completions
+    );
 }
 
 #[test]

@@ -1,11 +1,8 @@
 //! # ring — the workspace's one lock-free bounded MPMC ring
 //!
 //! A Vyukov-style bounded multi-producer multi-consumer queue of `Copy`
-//! slots. Two subsystems used to carry their own copy of this data
-//! structure — `live::ring::SlotRing` (worker-availability slots, the
-//! software analogue of RPCValet's core→NI *replenish* message, §4.2)
-//! and `telemetry::EventRing` (the never-block trace transport). Both
-//! now instantiate this single generic implementation, so the unsafe
+//! slots. `telemetry::EventRing` (the never-block trace transport)
+//! instantiates it, and the benchmark ledger times it bare; the unsafe
 //! reasoning below is written — and audited by `detlint` — exactly once.
 //!
 //! ## The Vyukov discipline
