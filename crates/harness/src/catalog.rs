@@ -96,7 +96,7 @@ static CATALOG: [Scenario; 16] = [
         paper: "Fig. 2a-c",
         kind: "queueing",
         summary: "Queueing-model tail latency vs load: five QxU configurations and four service distributions",
-        quick_runtime: "~5 s",
+        quick_runtime: "~1 s",
         parts: &["a", "b", "c"],
         build: build_fig2,
         derive: derive_fig2,

@@ -1114,8 +1114,8 @@ impl ScenarioMatrix {
                 Policy::hw_single_queue(),
             ]
         };
-        // Fig. 2's grid: loads from 5 % to 95 % in 5 % steps (the legacy
-        // `SweepSpec::fig2_default`), seed 2019, 400 k arrivals.
+        // Fig. 2's grid: loads from 5 % to 95 % in 5 % steps, seed 2019,
+        // 400 k arrivals.
         let fig2_loads = || RateGrid::Shared((1..=19).map(|i| i as f64 * 0.05).collect());
         let fig2_services = |kinds: &[SyntheticKind]| {
             kinds

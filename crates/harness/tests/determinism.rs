@@ -9,7 +9,7 @@
 
 use dist::ServiceDist;
 use harness::{run_matrix, RateGrid, ScenarioMatrix};
-use queueing::{sweep, QxU, SweepSpec};
+use queueing::QxU;
 use rpcvalet::{sweep_rates, Policy, RateSweepSpec, ServerSim};
 use simkit::rng::split_seed;
 use workloads::{scenario_config, Workload};
@@ -144,40 +144,6 @@ fn queueing_jobs_identical_across_thread_counts() {
         report_8.to_json_pretty(),
         "queueing-kind reports must be byte-identical across thread counts"
     );
-}
-
-#[test]
-fn harness_matches_legacy_queueing_sweep_bit_for_bit() {
-    // The exact comparison behind the fig2 migration: a queueing-kind
-    // matrix must reproduce queueing::sweep (the engine behind the old
-    // fig2 loop) bit for bit, because both derive per-load seeds as
-    // split_seed(master, point index).
-    let matrix = small_queueing_matrix();
-    let (report, _) = run_matrix(&matrix, 4);
-    let spec = SweepSpec {
-        loads: vec![0.3, 0.6, 0.9],
-        requests: 10_000,
-        warmup: 1_000,
-        seed: 2019,
-    };
-    let mut legacy_rows = Vec::new();
-    for service in [
-        ServiceDist::exponential_mean_ns(1.0),
-        ServiceDist::fixed_ns(1.0),
-    ] {
-        for config in [QxU::SINGLE_16, QxU::PARTITIONED_16] {
-            let curve = sweep(config, &service, &spec);
-            legacy_rows.extend(curve.points);
-        }
-    }
-    assert_eq!(report.jobs.len(), legacy_rows.len());
-    for (job, point) in report.jobs.iter().zip(&legacy_rows) {
-        assert_eq!(job.rate_rps, point.offered_load);
-        assert_eq!(job.p99_latency_ns, point.p99_latency_ns);
-        assert_eq!(job.mean_latency_ns, point.mean_latency_ns);
-        assert_eq!(job.throughput_rps, point.throughput_rps);
-        assert_eq!(job.measured, point.completed);
-    }
 }
 
 #[test]

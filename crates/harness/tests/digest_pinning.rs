@@ -43,3 +43,25 @@ fn stored_digest_matches_the_bench_trajectory_entry() {
     let latest = store.latest().expect("BENCH/fig8.json has entries");
     assert_eq!(latest.measurement_digest, FIG8_DIGEST);
 }
+
+/// `digest_reports` of `harness run --matrix fig2a|fig2b|fig2c
+/// --requests 20000` at the catalogue seed, recorded on the commit
+/// before `QueueingModel::run` left `simkit::Engine` (PR 16).
+const FIG2_DIGESTS: [(&str, &str); 3] = [
+    ("fig2a", "70c2af89ecb85c36"),
+    ("fig2b", "3216c9cef08b77a7"),
+    ("fig2c", "472ecaaf1f1002e6"),
+];
+
+#[test]
+fn fig2_matrices_reproduce_their_pinned_digests_on_any_thread_count() {
+    for (name, pinned) in FIG2_DIGESTS {
+        let matrix = harness::ScenarioMatrix::named(name)
+            .expect("catalogued matrix")
+            .requests(20_000, 2_000);
+        for threads in [1, 8] {
+            let digest = digest_reports(&[harness::run_matrix(&matrix, threads).0]);
+            assert_eq!(digest, pinned, "{name}, {threads} threads");
+        }
+    }
+}

@@ -11,8 +11,11 @@
 //!
 //! * [`QxU`] — a queueing configuration (e.g. [`QxU::SINGLE_16`]);
 //! * [`QueueingModel`] + [`RunParams`] — one simulation run, producing a
-//!   [`RunResult`] with exact sojourn-time percentiles;
-//! * [`sweep`] — latency-vs-load curves (Fig. 2a–c, Fig. 9 model lines);
+//!   [`RunResult`] with exact sojourn-time percentiles. The model is open
+//!   loop, so a run needs no general event queue: it merges the arrival
+//!   stream with one small calendar of the requests in service (see
+//!   [`model`]). Latency-vs-load curves (Fig. 2a–c, Fig. 9 model lines)
+//!   are `harness` matrices over it;
 //! * [`mmk`] — closed-form M/M/k results (Erlang C) used to validate the
 //!   simulator against theory.
 //!
@@ -36,7 +39,5 @@ pub mod hybrid;
 pub mod mg1;
 pub mod mmk;
 pub mod model;
-pub mod sweep;
 
 pub use model::{QueueingModel, QxU, RunParams, RunResult};
-pub use sweep::{sweep, SweepSpec};

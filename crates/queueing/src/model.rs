@@ -4,14 +4,31 @@
 //! Each arrival is assigned uniformly at random to one of `Q` FIFOs
 //! (`uni[0, Q-1]` in the paper's Fig. 1); each FIFO feeds `U` serving
 //! units. Sojourn time (wait + service) is recorded per completion.
+//!
+//! The model is open loop, so it needs no general event queue: a run is
+//! a two-way merge of the arrival stream (one pending arrival, a scalar)
+//! with one **calendar** of the requests in service — at most `Q·U`
+//! entries, sorted by completion time. Arrival gaps, routes and service
+//! times are drawn 256 (`BLOCK`) at a time from their three RNG streams and
+//! consumed by the merge loop.
+//!
+//! Every scheduled event (arrival or completion) also takes the next
+//! value of a `seq` counter, and ties on time are broken by it — the
+//! first-scheduled-first rule of `simkit`'s event queue. At Fig. 2's
+//! 1 ns mean service on a picosecond clock an arrival and a completion
+//! share a tick routinely, and the Welford summary and the warm-up cut
+//! depend on which goes first, so `seq` is what keeps results
+//! bit-identical to the event-queue loop this replaced (kept as the
+//! oracle in this file's tests).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use dist::ServiceDist;
 use metrics::{quantiles_unsorted, Summary};
 use rand::Rng;
 use simkit::rng::stream_rng;
-use simkit::{Engine, SimDuration, SimTime};
+use simkit::{SimDuration, SimTime};
 
 /// A queueing configuration: `queues × servers_per_queue`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,18 +162,44 @@ impl RunResult {
     }
 }
 
+/// Variates drawn per refill of the gap / route / service buffers.
+const BLOCK: usize = 256;
+
+/// A request in service: one calendar entry.
 #[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// A new request arrives (its target queue is drawn on processing).
-    Arrival,
-    /// A server in `queue` finishes its current request.
-    Completion { queue: usize },
+struct InService {
+    /// Completion time, and the `seq` the completion was scheduled with.
+    end: SimTime,
+    seq: u64,
+    queue: usize,
+    arrived: SimTime,
+    waited_ns: f64,
 }
 
-#[derive(Debug)]
-struct Fifo {
-    waiting: VecDeque<(SimTime, SimDuration)>, // (arrival time, service time)
-    busy: usize,
+/// The state of one run. Lives once per thread and is reset, not
+/// rebuilt, so a sweep's later points reuse the first one's buffers.
+#[derive(Default)]
+struct Merge {
+    /// Sojourn time of every measured completion, in completion order.
+    samples: Vec<f64>,
+    /// The calendar: requests in service across all queues (≤ Q·U),
+    /// sorted by `(end, seq)`.
+    calendar: VecDeque<InService>,
+    /// Per queue: `(arrival time, service time)` of the requests waiting.
+    waiting: Vec<VecDeque<(SimTime, SimDuration)>>,
+    /// Per queue: serving units in use.
+    busy: Vec<usize>,
+    warmup: u64,
+    completions: u64,
+    wait_sum: f64,
+    window_start: SimTime,
+    window_end: SimTime,
+    /// The next scheduling sequence number.
+    seq: u64,
+}
+
+thread_local! {
+    static MERGE: RefCell<Merge> = RefCell::new(Merge::default());
 }
 
 impl QueueingModel {
@@ -186,7 +229,8 @@ impl QueueingModel {
     /// Runs the simulation and gathers sojourn-time statistics.
     ///
     /// # Panics
-    /// Panics if `params.requests == 0` or `warmup >= requests`.
+    /// Panics if `params.requests == 0`, `warmup >= requests`, or `load`
+    /// is not positive and finite — before anything is drawn or borrowed.
     pub fn run(&self, params: &RunParams) -> RunResult {
         assert!(params.requests > 0, "need at least one request");
         assert!(
@@ -201,82 +245,223 @@ impl QueueingModel {
             params.load
         );
 
-        let servers = self.config.total_servers() as f64;
-        let mean_service_ns = self.service.mean_ns();
-        let lambda_per_ns = params.load * servers / mean_service_ns;
-        let mean_interarrival_ns = 1.0 / lambda_per_ns;
+        let lambda_per_ns =
+            params.load * self.config.total_servers() as f64 / self.service.mean_ns();
+        let gaps = ServiceDist::exponential_mean_ns(1.0 / lambda_per_ns);
+        MERGE.with(|merge| merge.borrow_mut().run(self, params, &gaps))
+    }
+}
+
+impl Merge {
+    /// Per arrival: first every completion that precedes it in
+    /// `(time, seq)` order, then the arrival itself; after the last
+    /// arrival the calendar is drained.
+    fn run(&mut self, model: &QueueingModel, params: &RunParams, gaps: &ServiceDist) -> RunResult {
+        let (queues, servers_per_queue) = (model.config.queues, model.config.servers_per_queue);
+        let service = &model.service;
+        self.samples.clear();
+        self.samples
+            .reserve((params.requests - params.warmup) as usize);
+        self.calendar.clear();
+        self.waiting.iter_mut().for_each(VecDeque::clear);
+        if self.waiting.len() < queues {
+            self.waiting.resize_with(queues, VecDeque::new);
+        }
+        self.busy.clear();
+        self.busy.resize(queues, 0);
+        self.warmup = params.warmup;
+        (self.completions, self.wait_sum) = (0, 0.0);
+        (self.window_start, self.window_end) = (SimTime::ZERO, SimTime::ZERO);
 
         let mut arrival_rng = stream_rng(params.seed, 0);
         let mut route_rng = stream_rng(params.seed, 1);
         let mut service_rng = stream_rng(params.seed, 2);
+        let (mut gap_ns, mut route, mut service_ns) = ([0.0; BLOCK], [0; BLOCK], [0.0; BLOCK]);
+        // The first arrival is scheduled with seq 0.
+        let (mut now, mut arrival_seq) = (SimTime::ZERO, 0);
+        self.seq = 1;
+        let mut arrivals_left = params.requests;
+        while arrivals_left > 0 {
+            // Refills are clamped to the run: no stream is read further
+            // than its one draw per request.
+            let n = arrivals_left.min(BLOCK as u64) as usize;
+            gaps.sample_block(&mut arrival_rng, &mut gap_ns[..n]);
+            route[..n].fill_with(|| route_rng.gen_range(0..queues));
+            service.sample_block(&mut service_rng, &mut service_ns[..n]);
+            for i in 0..n {
+                now += SimDuration::from_ns_f64(gap_ns[i]);
+                self.complete_before(now, arrival_seq);
+                let (queue, svc) = (route[i], SimDuration::from_ns_f64(service_ns[i]));
+                if self.busy[queue] < servers_per_queue {
+                    self.busy[queue] += 1;
+                    self.start(now + svc, queue, now, 0.0);
+                } else {
+                    self.waiting[queue].push_back((now, svc));
+                }
+                arrivals_left -= 1;
+                // The next arrival is scheduled now (after the last one
+                // the number goes unused, which shifts no order).
+                arrival_seq = self.seq;
+                self.seq += 1;
+            }
+        }
+        self.complete_before(SimTime::MAX, u64::MAX);
+        self.result(model, params)
+    }
 
-        // The allocation-free ladder backend, its near window scaled to
-        // the service timescale (these models run anywhere from
-        // normalized 1 ns means to µs-scale distributions). Pop order is
-        // bit-identical to the heap backend, so results are unchanged.
+    /// The statistics of a finished run, from `samples` (in completion
+    /// order), `wait_sum`, `window_*` and `completions`.
+    fn result(&mut self, model: &QueueingModel, params: &RunParams) -> RunResult {
+        // Welford in completion order, then O(n) selection (which
+        // reorders the samples) for both quantiles.
+        let mut sojourn = Summary::new();
+        sojourn.record_block(&self.samples);
+        let measured = sojourn.count();
+        let qs = quantiles_unsorted(&mut self.samples, &[0.99, 0.50]);
+        let span = self.window_end.saturating_duration_since(self.window_start);
+        RunResult {
+            config: model.config,
+            offered_load: params.load,
+            mean_service_ns: model.service.mean_ns(),
+            sojourn,
+            p99_sojourn_ns: qs[0],
+            p50_sojourn_ns: qs[1],
+            mean_wait_ns: self.wait_sum / measured as f64,
+            throughput_rps: if span > SimDuration::ZERO {
+                measured as f64 / span.as_ns_f64() * 1e9
+            } else {
+                0.0
+            },
+            measured,
+            // One (virtual) pop per arrival and per completion.
+            events: params.requests + self.completions,
+        }
+    }
+
+    /// Puts a request into service until `end`: appended, then moved
+    /// forward past every later `end`. `seq` only grows, so stopping at
+    /// an equal `end` keeps the calendar sorted by `(end, seq)`. (On ≤ 16
+    /// entries this measured ~8 ns per request faster than
+    /// `partition_point` + `insert`.)
+    fn start(&mut self, end: SimTime, queue: usize, arrived: SimTime, waited_ns: f64) {
+        let mut at = self.calendar.len();
+        self.calendar.push_back(InService {
+            end,
+            seq: self.seq,
+            queue,
+            arrived,
+            waited_ns,
+        });
+        self.seq += 1;
+        while at > 0 && self.calendar[at - 1].end > end {
+            self.calendar.swap(at - 1, at);
+            at -= 1;
+        }
+    }
+
+    /// Completes, in order, every request whose `(end, seq)` precedes
+    /// `(time, seq)`; each completion promotes its queue's next waiter.
+    fn complete_before(&mut self, time: SimTime, seq: u64) {
+        while let Some(&done) = self.calendar.front() {
+            if (done.end, done.seq) >= (time, seq) {
+                break;
+            }
+            self.calendar.pop_front();
+            let now = done.end;
+            self.completions += 1;
+            if self.completions == self.warmup {
+                self.window_start = now;
+            }
+            if self.completions > self.warmup {
+                self.samples
+                    .push(now.duration_since(done.arrived).as_ns_f64());
+                self.wait_sum += done.waited_ns;
+                self.window_end = now;
+            }
+            if let Some((arrived, svc)) = self.waiting[done.queue].pop_front() {
+                let waited_ns = now.duration_since(arrived).as_ns_f64();
+                self.start(now + svc, done.queue, arrived, waited_ns);
+            } else {
+                self.busy[done.queue] -= 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dist::SyntheticKind;
+    use simkit::Engine;
+
+    /// The oracle: the `simkit::Engine`-driven loop that was
+    /// [`QueueingModel::run`] until PR 16, statistics tail included — two
+    /// general event-queue push+pops and two scalar draws per request,
+    /// one sorted in-service deque per queue, one `Summary::record` per
+    /// completion. Shares nothing with [`Merge`]. Returns the
+    /// `RunResult`'s `Debug` text (shortest round-trip floats: equal
+    /// text, equal bits) and two counts of how often the tie rule
+    /// decided: pops that shared their tick with the pop before them
+    /// while being of the other kind, and, of those, completions popped
+    /// after an arrival of their own tick (scheduled later than it: the
+    /// order only `seq` knows). An event is `None` for an arrival,
+    /// `Some(queue)` for a completion.
+    fn engine_run(model: &QueueingModel, params: &RunParams) -> (String, u64, u64) {
+        fn exp_gap(rng: &mut impl Rng, mean_ns: f64) -> SimDuration {
+            let u: f64 = rng.gen();
+            SimDuration::from_ns_f64(-mean_ns * (1.0 - u).ln())
+        }
+        // (end, arrival, wait_ns), kept sorted by end.
+        type InService = VecDeque<(SimTime, SimTime, f64)>;
+        fn insert_by_end(dq: &mut InService, item: (SimTime, SimTime, f64)) {
+            dq.insert(dq.partition_point(|&(end, _, _)| end <= item.0), item);
+        }
+        let (queues, servers_per_queue) = (model.config.queues, model.config.servers_per_queue);
+        let mean_service_ns = model.service.mean_ns();
+        let mean_gap_ns =
+            1.0 / (params.load * model.config.total_servers() as f64 / mean_service_ns);
+        let mut arrival_rng = stream_rng(params.seed, 0);
+        let mut route_rng = stream_rng(params.seed, 1);
+        let mut service_rng = stream_rng(params.seed, 2);
         let horizon =
             SimDuration::from_ns_f64(mean_service_ns * 8.0).max(SimDuration::from_ps(512));
-        let mut engine: Engine<Ev> = Engine::with_horizon(horizon);
-        let mut fifos: Vec<Fifo> = (0..self.config.queues)
-            .map(|_| Fifo {
-                waiting: VecDeque::new(),
-                busy: 0,
-            })
-            .collect();
+        let mut engine: Engine<Option<usize>> = Engine::with_horizon(horizon);
+        let mut waiting: Vec<VecDeque<(SimTime, SimDuration)>> = vec![VecDeque::new(); queues];
+        let mut busy = vec![0; queues];
+        let mut in_service: Vec<InService> = vec![VecDeque::new(); queues];
 
-        let mut arrivals_left = params.requests;
-        let mut completions = 0u64;
-        let mut sojourn = Summary::new();
-        let mut wait_sum = 0.0f64;
-        let mut sojourn_samples: Vec<f64> = Vec::with_capacity(
-            (params.requests - params.warmup) as usize,
-        );
-        let mut window_start = SimTime::ZERO;
-        let mut window_end = SimTime::ZERO;
-
-        // Kick off the first arrival.
-        let first = exp_interarrival(&mut arrival_rng, mean_interarrival_ns);
-        engine.schedule_in(first, Ev::Arrival);
-        arrivals_left -= 1;
-
-        // Per-queue in-service bookkeeping: completions must know which
-        // request finished; FIFOs are per-queue so completion order within
-        // a queue's servers can interleave. We track in-service requests
-        // per queue as a multiset of (start, arrival, service) and rely on
-        // the fact that the engine delivers Completion events carrying the
-        // queue id in timestamp order; we pair each completion with the
-        // in-service entry having the matching end time.
-        let mut in_service: Vec<VecDeque<(SimTime, SimTime, f64)>> =
-            (0..self.config.queues).map(|_| VecDeque::new()).collect();
-        // (end_time, arrival_time, wait_ns), sorted by end time;
-        // completions pop the entry with the earliest end time.
-
+        let mut arrivals_left = params.requests - 1;
+        let (mut completions, mut wait_sum) = (0, 0.0);
+        let (mut sojourn, mut samples) = (Summary::new(), Vec::new());
+        let (mut window_start, mut window_end) = (SimTime::ZERO, SimTime::ZERO);
+        let (mut same_tick, mut arrival_first) = (0, 0);
+        let (mut last, mut last_arrival) = (None, None);
+        engine.schedule_in(exp_gap(&mut arrival_rng, mean_gap_ns), None);
         while let Some(scheduled) = engine.pop() {
+            let now = engine.now();
+            let is_arrival = scheduled.event.is_none();
+            same_tick += (last == Some((now, !is_arrival))) as u64;
+            last = Some((now, is_arrival));
             match scheduled.event {
-                Ev::Arrival => {
-                    let now = engine.now();
-                    let queue = route_rng.gen_range(0..self.config.queues);
-                    let svc = self.service.sample(&mut service_rng);
-                    let fifo = &mut fifos[queue];
-                    if fifo.busy < self.config.servers_per_queue {
-                        fifo.busy += 1;
-                        let end = now + svc;
-                        insert_by_end(&mut in_service[queue], (end, now, 0.0));
-                        engine.schedule_at(end, Ev::Completion { queue });
+                None => {
+                    last_arrival = Some(now);
+                    let queue = route_rng.gen_range(0..queues);
+                    let svc = model.service.sample(&mut service_rng);
+                    if busy[queue] < servers_per_queue {
+                        busy[queue] += 1;
+                        insert_by_end(&mut in_service[queue], (now + svc, now, 0.0));
+                        engine.schedule_at(now + svc, Some(queue));
                     } else {
-                        fifo.waiting.push_back((now, svc));
+                        waiting[queue].push_back((now, svc));
                     }
                     if arrivals_left > 0 {
                         arrivals_left -= 1;
-                        let gap = exp_interarrival(&mut arrival_rng, mean_interarrival_ns);
-                        engine.schedule_in(gap, Ev::Arrival);
+                        engine.schedule_in(exp_gap(&mut arrival_rng, mean_gap_ns), None);
                     }
                 }
-                Ev::Completion { queue } => {
-                    let now = engine.now();
-                    let (_end, arrived, waited_ns) = in_service[queue]
-                        .pop_front()
-                        .expect("completion without in-service request");
+                Some(queue) => {
+                    arrival_first += (last_arrival == Some(now)) as u64;
+                    let (_end, arrived, waited_ns) = in_service[queue].pop_front().unwrap();
                     completions += 1;
                     if completions == params.warmup {
                         window_start = now;
@@ -284,71 +469,118 @@ impl QueueingModel {
                     if completions > params.warmup {
                         let s = now.duration_since(arrived);
                         sojourn.record(s);
-                        sojourn_samples.push(s.as_ns_f64());
+                        samples.push(s.as_ns_f64());
                         wait_sum += waited_ns;
                         window_end = now;
                     }
-                    let fifo = &mut fifos[queue];
-                    if let Some((arr, svc)) = fifo.waiting.pop_front() {
-                        let end = now + svc;
+                    if let Some((arr, svc)) = waiting[queue].pop_front() {
                         let waited = now.duration_since(arr).as_ns_f64();
-                        insert_by_end(&mut in_service[queue], (end, arr, waited));
-                        engine.schedule_at(end, Ev::Completion { queue });
+                        insert_by_end(&mut in_service[queue], (now + svc, arr, waited));
+                        engine.schedule_at(now + svc, Some(queue));
                     } else {
-                        fifo.busy -= 1;
+                        busy[queue] -= 1;
                     }
                 }
             }
         }
 
         let measured = sojourn.count();
-        let span_ns = window_end.saturating_duration_since(window_start).as_ns_f64();
-        let throughput_rps = if span_ns > 0.0 {
-            measured as f64 / span_ns * 1e9
-        } else {
-            0.0
-        };
-        // O(n) selection, both quantiles, values identical to the old
-        // clone-and-sort-per-quantile extraction.
-        let (p99, p50) = if sojourn_samples.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let qs = quantiles_unsorted(&mut sojourn_samples, &[0.99, 0.50]);
-            (qs[0], qs[1])
-        };
-        RunResult {
-            events: engine.events_processed(),
-            config: self.config,
+        let span_ns = window_end
+            .saturating_duration_since(window_start)
+            .as_ns_f64();
+        let qs = quantiles_unsorted(&mut samples, &[0.99, 0.50]);
+        let result = RunResult {
+            config: model.config,
             offered_load: params.load,
             mean_service_ns,
             sojourn,
-            p99_sojourn_ns: p99,
-            p50_sojourn_ns: p50,
-            mean_wait_ns: if measured > 0 {
-                wait_sum / measured as f64
+            p99_sojourn_ns: qs[0],
+            p50_sojourn_ns: qs[1],
+            mean_wait_ns: wait_sum / measured as f64,
+            throughput_rps: if span_ns > 0.0 {
+                measured as f64 / span_ns * 1e9
             } else {
                 0.0
             },
-            throughput_rps,
             measured,
+            events: engine.events_processed(),
+        };
+        (format!("{result:?}"), same_tick, arrival_first)
+    }
+
+    #[test]
+    fn merge_matches_the_engine_oracle_bit_for_bit() {
+        for config in QxU::FIG2A_CONFIGS {
+            for kind in SyntheticKind::ALL {
+                let model = QueueingModel::new(config, kind.normalized());
+                for load in [0.05, 0.3, 0.7, 0.95, 1.1] {
+                    // Request counts straddle the variate block size.
+                    for requests in [1, 2, 255, 256, 257, 20_037] {
+                        for warmup in [0, requests / 10] {
+                            let seed = 2019 + requests;
+                            let params = RunParams {
+                                load,
+                                requests,
+                                warmup,
+                                seed,
+                            };
+                            let got = model.run(&params);
+                            assert_eq!(got.events, 2 * requests);
+                            let oracle = engine_run(&model, &params).0;
+                            assert_eq!(format!("{got:?}"), oracle, "{kind} {params:?}");
+                        }
+                    }
+                }
+            }
         }
     }
-}
 
-/// Inserts `(end, arrival, wait)` keeping the deque sorted by ascending end time.
-fn insert_by_end(dq: &mut VecDeque<(SimTime, SimTime, f64)>, item: (SimTime, SimTime, f64)) {
-    let pos = dq.partition_point(|&(end, _, _)| end <= item.0);
-    dq.insert(pos, item);
-}
+    #[test]
+    fn oracle_comparison_exercises_the_tie_rule() {
+        // 1 ns fixed service on a picosecond clock: an arrival lands on
+        // a completion's tick hundreds of times in 20 k requests.
+        let model = QueueingModel::new(QxU::PARTITIONED_16, ServiceDist::fixed_ns(1.0));
+        let params = RunParams {
+            load: 0.9,
+            requests: 20_037,
+            warmup: 2_003,
+            seed: 7,
+        };
+        let (oracle, same_tick, _) = engine_run(&model, &params);
+        assert!(same_tick > 100, "only {same_tick} same-tick pops");
+        assert_eq!(format!("{:?}", model.run(&params)), oracle);
+    }
 
-fn exp_interarrival(rng: &mut impl Rng, mean_ns: f64) -> SimDuration {
-    let u: f64 = rng.gen();
-    SimDuration::from_ns_f64(-mean_ns * (1.0 - u).ln())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn seq_orders_ties_that_time_alone_cannot() {
+        // Service times of a few picoseconds on the picosecond clock, two
+        // to four servers so that arrival gaps are as long as services:
+        // a request promoted after the previous arrival often ends on
+        // the next arrival's tick, and that arrival, scheduled first,
+        // goes first. "Completions before arrivals" on time alone gets
+        // exactly these wrong (the time-only rule the two tests above do
+        // not catch), and every run here has dozens of them.
+        for service in [
+            ServiceDist::fixed_ns(0.004),
+            ServiceDist::uniform_ns(0.0, 0.008),
+            ServiceDist::exponential_mean_ns(0.004),
+        ] {
+            for config in [QxU::new(1, 2), QxU::new(2, 1), QxU::new(2, 2)] {
+                let model = QueueingModel::new(config, service.clone());
+                for load in [0.7, 0.95] {
+                    let params = RunParams {
+                        load,
+                        requests: 5_000,
+                        warmup: 500,
+                        seed: 16,
+                    };
+                    let (oracle, _, arrival_first) = engine_run(&model, &params);
+                    assert!(arrival_first > 50, "{config} {load}: {arrival_first}");
+                    assert_eq!(format!("{:?}", model.run(&params)), oracle);
+                }
+            }
+        }
+    }
 
     fn run(config: QxU, service: ServiceDist, load: f64, seed: u64) -> RunResult {
         QueueingModel::new(config, service).run(&RunParams {
@@ -480,5 +712,37 @@ mod tests {
             warmup: 10,
             seed: 0,
         });
+    }
+
+    #[test]
+    fn invalid_params_panic_before_the_run_and_leave_the_thread_usable() {
+        // The asserts fire before the per-thread state is touched, and a
+        // run resets that state before using it: a pool thread that
+        // caught a panic runs its next job as if nothing happened.
+        let model = QueueingModel::new(QxU::SINGLE_16, ServiceDist::fixed_ns(1.0));
+        let run = |load, requests, warmup| {
+            let params = RunParams {
+                load,
+                requests,
+                warmup,
+                seed: 0,
+            };
+            format!("{:?}", model.run(&params))
+        };
+        let good = run(0.9, 2_000, 200);
+        for (load, requests, warmup, message) in [
+            (0.5, 0, 0, "need at least one request"),
+            (0.5, 10, 10, "warmup (10) must be below requests (10)"),
+            (f64::NAN, 10, 1, "load must be positive, got NaN"),
+            (0.0, 10, 1, "load must be positive, got 0"),
+        ] {
+            let panic = std::panic::catch_unwind(|| run(load, requests, warmup)).unwrap_err();
+            let text = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(
+                text.or(panic.downcast_ref::<&str>().copied()),
+                Some(message)
+            );
+            assert_eq!(run(0.9, 2_000, 200), good);
+        }
     }
 }
