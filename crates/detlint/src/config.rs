@@ -6,7 +6,7 @@
 //! every path a [`Stratum`]:
 //!
 //! * `deterministic` — code whose outputs must be byte-identical across
-//!   `--threads` values, prefetch modes, and machines (the simulator,
+//!   `--threads` values and machines (the simulator,
 //!   the models, report/digest/serialization paths). All rules apply.
 //! * `wall-clock` — code that legitimately reads real time or real
 //!   machine state (live serving, capture transport, timing sidecars).
@@ -231,6 +231,17 @@ impl Config {
             .max_by_key(|(prefix, _)| prefix.len())
             .map(|(_, s)| *s)
             .unwrap_or(self.default)
+    }
+
+    /// The `[strata]` prefixes that govern none of `files`. A stale
+    /// entry is not harmless: a *laxer* one silently exempts whatever
+    /// file is later created under it.
+    pub fn unmatched_prefixes(&self, files: &[String]) -> Vec<&str> {
+        self.strata
+            .iter()
+            .map(|(prefix, _)| prefix.as_str())
+            .filter(|prefix| !files.iter().any(|f| prefix_matches(prefix, &normalize(f))))
+            .collect()
     }
 
     /// True when `path` falls under an `exclude` prefix.

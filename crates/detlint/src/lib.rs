@@ -2,7 +2,7 @@
 //!
 //! Every result in this reproduction rests on one invariant: simulation
 //! reports, trace stores, and series stores are **byte-identical for any
-//! `--threads` value and any prefetch mode**. Until now that invariant
+//! `--threads` value**. Until now that invariant
 //! was enforced only by runtime byte-compares in CI — which catch a
 //! violation *after* it ships and say nothing about where it came from.
 //! `detlint` moves the obligation to lint time: it lexes every Rust
@@ -203,12 +203,26 @@ pub fn load_config(root: &Path) -> Result<Config, Error> {
 
 /// Sweeps the whole workspace rooted at `root` using its `detlint.toml`.
 pub fn run_workspace(root: &Path) -> Result<Report, Error> {
-    let config = load_config(root)?;
+    run_workspace_with(root, &load_config(root)?)
+}
+
+/// [`run_workspace`] under an explicit `config`. A `[strata]` prefix
+/// that matches no scanned file is a config error: the map must
+/// describe the tree as it is.
+pub fn run_workspace_with(root: &Path, config: &Config) -> Result<Report, Error> {
     let files: Vec<String> = workspace_files(root)?
         .into_iter()
         .filter(|f| !config.excluded(f))
         .collect();
-    run_files(root, &config, &files)
+    let stale = config.unmatched_prefixes(&files);
+    if !stale.is_empty() {
+        return Err(Error::Config(format!(
+            "detlint.toml: [strata] prefix(es) match no scanned file: {} (prune them — a stale \
+             entry silently exempts whatever is later created there)",
+            stale.join(", ")
+        )));
+    }
+    run_files(root, config, &files)
 }
 
 /// Sweeps an explicit list of workspace-relative files.
@@ -216,7 +230,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, Error> {
 /// The `exclude` list is *not* applied here: a file named explicitly is
 /// scanned even if a workspace sweep would skip it (that's how the rule
 /// fixtures check themselves). Callers walking the tree filter with
-/// [`Config::excluded`] first, as [`run_workspace`] does.
+/// [`Config::excluded`] first, as [`run_workspace_with`] does.
 pub fn run_files(root: &Path, config: &Config, files: &[String]) -> Result<Report, Error> {
     let mut report = Report::default();
     for rel in files {
@@ -238,6 +252,26 @@ pub fn run_files(root: &Path, config: &Config, files: &[String]) -> Result<Repor
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stale_stratum_prefix_is_a_config_error() {
+        // This crate's own directory as the tree: `src` exists,
+        // `benches` does not.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut config = Config {
+            exclude: vec!["tests/fixtures".to_owned()],
+            ..Config::default()
+        };
+        config.strata.push(("src".to_owned(), Stratum::Cli));
+        assert!(run_workspace_with(root, &config).is_ok());
+        config.strata.push(("benches".to_owned(), Stratum::Cli));
+        match run_workspace_with(root, &config) {
+            Err(Error::Config(msg)) => {
+                assert!(msg.contains("match no scanned file: benches "), "{msg}")
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn json_escaping() {

@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use detlint::{config, run_files, workspace_files, Error, Report, RULES};
+use detlint::{config, run_files, run_workspace_with, Error, Report, RULES};
 
 struct Cli {
     workspace: bool,
@@ -106,17 +106,14 @@ fn run(cli: &Cli) -> Result<Report, Error> {
         }
         None => detlint::load_config(&root)?,
     };
-    // Excludes apply to the workspace walk only; a file named explicitly
-    // on the command line is always scanned.
-    let files = if cli.workspace {
-        workspace_files(&root)?
-            .into_iter()
-            .filter(|f| !config.excluded(f))
-            .collect()
+    // Excludes (and the stale-prefix check) apply to the workspace walk
+    // only; a file named explicitly on the command line is always
+    // scanned.
+    if cli.workspace {
+        run_workspace_with(&root, &config)
     } else {
-        cli.files.clone()
-    };
-    run_files(&root, &config, &files)
+        run_files(&root, &config, &cli.files)
+    }
 }
 
 fn main() -> ExitCode {

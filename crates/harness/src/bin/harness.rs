@@ -37,10 +37,8 @@
 //! fewer requests), `--seed <n>`, `--requests <n>`, `--replications
 //! <n>`, `--baseline <path>` + `--tolerance <pct>` (default 5; scenario
 //! runs accept it only for single-matrix scenarios), `--fresh` (ignore
-//! existing reports instead of resuming), `--prefetch off|inline|thread`
-//! (variate-prefetch mode override — bit-identical output by contract,
-//! speed only). Scenario-only: `--part a|b|c`,
-//! `--out-dir <dir>`, `--figures-dir <dir>`. Matrix-only: `--out
+//! existing reports instead of resuming). Scenario-only: `--part
+//! a|b|c`, `--out-dir <dir>`, `--figures-dir <dir>`. Matrix-only: `--out
 //! <path>`, `--trace <n>`, and `--timeseries <path>` (+
 //! `--series-window-us <n>`, default 100) — a windowed-telemetry
 //! capture alongside the byte-identical report.
@@ -72,7 +70,6 @@ struct RunArgs {
     trace: Option<usize>,
     timeseries: Option<String>,
     series_window_us: u64,
-    prefetch: Option<rpcvalet::SamplePrefetch>,
 }
 
 fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
@@ -94,7 +91,6 @@ fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
         trace: None,
         timeseries: None,
         series_window_us: 100,
-        prefetch: None,
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
@@ -154,14 +150,6 @@ fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
                 }
             }
             "--timeseries" => args.timeseries = Some(value("--timeseries")?),
-            "--prefetch" => {
-                args.prefetch = Some(match value("--prefetch")?.as_str() {
-                    "off" => rpcvalet::SamplePrefetch::Off,
-                    "inline" => rpcvalet::SamplePrefetch::Inline,
-                    "thread" => rpcvalet::SamplePrefetch::Thread,
-                    other => return Err(format!("bad --prefetch `{other}` (off|inline|thread)")),
-                });
-            }
             "--series-window-us" => {
                 args.series_window_us = value("--series-window-us")?
                     .parse()
@@ -604,9 +592,6 @@ fn cmd_run_matrix(name: &str, args: &RunArgs) -> Result<bool, String> {
 
 fn cmd_run(it: std::env::Args) -> Result<bool, String> {
     let args = parse_run_args(it)?;
-    // Bit-identical across modes by contract, so this is set globally
-    // rather than threaded through the spec (see `set_prefetch_mode`).
-    harness::set_prefetch_mode(args.prefetch);
     if let Some(name) = &args.scenario {
         let scenario = harness::find_scenario(name).ok_or_else(|| {
             format!(
@@ -630,7 +615,6 @@ struct BenchArgs {
     scenario: Option<String>,
     record: bool,
     check: bool,
-    migrate_legacy: Option<String>,
     store: Option<String>,
     tolerance_pct: Option<f64>,
     threads: Option<usize>,
@@ -647,7 +631,6 @@ fn parse_bench_args(mut it: std::env::Args) -> Result<BenchArgs, String> {
             "--scenario" => args.scenario = Some(value("--scenario")?),
             "--record" => args.record = true,
             "--check" => args.check = true,
-            "--migrate-legacy" => args.migrate_legacy = Some(value("--migrate-legacy")?),
             "--store" => args.store = Some(value("--store")?),
             "--commit" => args.commit = Some(value("--commit")?),
             "--quick" => args.quick = true,
@@ -679,21 +662,11 @@ fn parse_bench_args(mut it: std::env::Args) -> Result<BenchArgs, String> {
             other => return Err(format!("unknown flag `{other}` for bench")),
         }
     }
-    match (
-        &args.migrate_legacy,
-        &args.scenario,
-        args.record,
-        args.check,
-    ) {
-        (Some(_), _, false, false) => {}
-        (Some(_), _, _, _) => return Err("--migrate-legacy takes no --record/--check".to_owned()),
-        (None, None, _, _) => {
-            return Err("bench needs --scenario <name> (or --migrate-legacy <file>)".to_owned())
-        }
-        (None, Some(_), true, false) | (None, Some(_), false, true) => {}
-        (None, Some(_), _, _) => {
-            return Err("bench needs exactly one of --record | --check".to_owned())
-        }
+    if args.scenario.is_none() {
+        return Err("bench needs --scenario <name>".to_owned());
+    }
+    if args.record == args.check {
+        return Err("bench needs exactly one of --record | --check".to_owned());
     }
     // --check replays the recorded entry's exact parameters; run-shape
     // flags would be silently ignored, so reject them loudly.
@@ -710,52 +683,17 @@ fn parse_bench_args(mut it: std::env::Args) -> Result<BenchArgs, String> {
             }
         }
     }
-    // --migrate-legacy sniffs everything from the file; the same
-    // no-silently-ignored-flags policy applies.
-    if args.migrate_legacy.is_some() {
-        for (set, flag) in [
-            (args.scenario.is_some(), "--scenario"),
-            (args.quick, "--quick"),
-            (args.requests.is_some(), "--requests"),
-            (args.threads.is_some(), "--threads"),
-            (args.tolerance_pct.is_some(), "--tolerance"),
-        ] {
-            if set {
-                return Err(format!(
-                    "{flag} does not apply to --migrate-legacy (the legacy file determines \
-                     the scenario and parameters)"
-                ));
-            }
-        }
-    }
     Ok(args)
 }
 
 /// `harness bench`: record or gate a scenario's benchmark-trajectory
-/// entry (and migrate legacy `BENCH_*` files into the store format).
+/// entry.
 fn cmd_bench(it: std::env::Args) -> Result<bool, String> {
     let args = parse_bench_args(it)?;
     let commit = args
         .commit
         .clone()
         .unwrap_or_else(harness::trajectory::current_commit);
-
-    if let Some(legacy_path) = &args.migrate_legacy {
-        let text = std::fs::read_to_string(legacy_path)
-            .map_err(|e| format!("read {legacy_path}: {e}"))?;
-        let (name, entry) = harness::migrate_legacy(&text, &commit)?;
-        let store_path = args
-            .store
-            .as_ref()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| TrajectoryStore::default_path(&name));
-        let entries = harness::trajectory::record_into_store(&store_path, &name, entry)?;
-        println!(
-            "[migrated {legacy_path} -> {} ({entries} entries)]",
-            store_path.display()
-        );
-        return Ok(true);
-    }
 
     let name = args.scenario.as_deref().expect("checked by parser");
     let scenario = harness::find_scenario(name)
@@ -1396,7 +1334,6 @@ fn main() -> ExitCode {
                  [--timeseries store.series [--series-window-us n]] [shared flags]\n       \
                  harness bench --scenario <name> (--record | --check) [--tolerance pct] \
                  [--store file.json] [--threads n] [--quick] [--requests n] [--commit id]\n       \
-                 harness bench --migrate-legacy BENCH_file.json [--store file.json] [--commit id]\n       \
                  harness trace --capture --matrix <name> --out store.trace [--events n] \
                  [--report file.json] [--threads n] [--quick] [--seed n] [--requests n]\n       \
                  harness trace --summarize store.trace\n       \

@@ -17,14 +17,14 @@
 //! Exits non-zero if either side violates the ordering — the CI smoke
 //! job runs `--quick` to keep the subsystem from bit-rotting.
 //!
-//! Usage: `cargo run -p bench --release --bin live_vs_sim [--quick]`
+//! Usage: `cargo run -p harness --release --bin live_vs_sim [--quick]`
 
 use std::process::ExitCode;
 
-use bench::{write_json, Mode};
 use dist::{ServiceDist, SyntheticKind};
 use harness::{
-    default_threads, run_matrix, JobKind, LiveParams, RateGrid, ScenarioMatrix, SweepReport,
+    default_threads, run_matrix, Artifact, Artifacts, JobKind, LiveParams, RateGrid,
+    ScenarioMatrix, SweepReport,
 };
 use live::{BurnMode, LivePolicy};
 use queueing::QxU;
@@ -82,11 +82,8 @@ fn ordering_holds(p99s: &[(String, f64)]) -> bool {
 }
 
 fn main() -> ExitCode {
-    let mode = Mode::from_args();
-    let requests = match mode {
-        Mode::Full => 4_000,
-        Mode::Quick => 1_000,
-    };
+    let quick = std::env::args().any(|a| a == "--quick");
+    let requests = if quick { 1_000 } else { 4_000 };
     println!("=== live_vs_sim: measured loopback serving vs queueing models ===");
     println!(
         "  {WORKERS} workers, exponential service, loads {LOADS:?}, {requests} requests/point\n"
@@ -192,16 +189,18 @@ fn main() -> ExitCode {
     );
     println!("  (the live replenish row should track the single-queue row: it *is* the 1x{WORKERS} discipline, dispatched by the connection's reader in the arrival path instead of an NI)");
 
-    write_json(
-        "live_vs_sim",
-        &LiveVsSim {
-            load: top_load,
-            workers: WORKERS as u64,
-            rows,
-            sim_ordering_holds: sim_ok,
-            live_ordering_holds: live_ok,
-        },
-    );
+    let outcome = LiveVsSim {
+        load: top_load,
+        workers: WORKERS as u64,
+        rows,
+        sim_ordering_holds: sim_ok,
+        live_ordering_holds: live_ok,
+    };
+    let artifact = Artifact::json("live_vs_sim", &outcome, String::new());
+    let written = Artifacts::new(vec![artifact])
+        .write_all(&harness::figures_dir())
+        .expect("write target/figures/live_vs_sim.json");
+    println!("  [wrote {}]", written[0].display());
 
     if sim_ok && live_ok {
         ExitCode::SUCCESS

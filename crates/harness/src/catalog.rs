@@ -6,8 +6,7 @@
 //! turns the deterministic [`SweepReport`]s into the exact artifacts the
 //! legacy figure binaries wrote (`target/figures/*.json`, byte-identical
 //! for migrated experiments). `harness run --scenario <name>` executes
-//! any entry; the `bench` figure binaries are thin shims over the same
-//! entries.
+//! any entry.
 
 use std::fmt::Write as _;
 
@@ -1170,9 +1169,8 @@ fn rep0_jobs(report: &SweepReport) -> Vec<&crate::report::JobRecord> {
 }
 
 /// Assembles the legacy `ablation_sensitivity` artifact from the four
-/// sim-sweep reports (exposed for the migration byte-compare tests,
-/// which run the sim matrices without the live one).
-pub fn sensitivity_artifact(
+/// sim-sweep reports.
+fn sensitivity_artifact(
     slots: &SweepReport,
     mtu: &SweepReport,
     mcs: &SweepReport,

@@ -1,6 +1,6 @@
 //! # harness — parallel experiment orchestration
 //!
-//! The single entry point every figure binary goes through: expand a
+//! The single entry point every experiment goes through: expand a
 //! [`ScenarioMatrix`] (workload × policy × load point × replication) into
 //! jobs, fan the jobs out over a pull-based dispatcher + worker pool
 //! (each worker requests its next job when free, chroma-execution-engine
@@ -68,8 +68,8 @@ pub use watch::{
     live_spec_for_scenario, render_frame, watch_addr, watch_loopback, WatchConfig, WatchSummary,
 };
 pub use trajectory::{
-    check_entry, current_commit, digest_reports, entry_from_run, migrate_legacy, params_for_entry,
-    CheckReport, SidecarStats, TrajectoryEntry, TrajectoryMetric, TrajectoryStore, STORE_VERSION,
+    check_entry, current_commit, digest_reports, entry_from_run, params_for_entry, CheckReport,
+    SidecarStats, TrajectoryEntry, TrajectoryMetric, TrajectoryStore, STORE_VERSION,
 };
 pub use pool::{
     default_threads, run_jobs, run_jobs_observed, run_jobs_series, JobDispatcher, JobOutcome,
@@ -88,8 +88,8 @@ pub use report::{
     REPORT_VERSION,
 };
 pub use spec::{
-    policy_spec_key, set_prefetch_mode, ExperimentSpec, JobKind, LiveParams, Measurement,
-    ObservedRun, PolicySpec, RateGrid, ScenarioMatrix, SeedMode, SimTune, WorkloadSpec,
+    policy_spec_key, ExperimentSpec, JobKind, LiveParams, Measurement, ObservedRun, PolicySpec,
+    RateGrid, ScenarioMatrix, SeedMode, SimTune, WorkloadSpec,
 };
 
 /// Clamps a worker-thread count to 1 when any job is live: concurrent

@@ -9,9 +9,8 @@
 //! don't idle the rest of the pool. A fitting shape for this repo: the
 //! harness load-balances simulations of a load balancer.
 //!
-//! The engine itself lives in [`simkit::pool`] and is shared with
-//! `rpcvalet::sweep`'s point sweeps — one implementation of the
-//! "index-keyed, scheduling-independent" determinism contract, not two.
+//! The engine itself lives in [`simkit::pool`] — the one implementation
+//! of the "index-keyed, scheduling-independent" determinism contract.
 //! This module binds it to [`ExperimentSpec`] jobs and adds per-job
 //! wall-clock capture for the timing sidecar.
 

@@ -118,8 +118,7 @@ pub struct SweepTiming {
     /// Per-job simulator events popped, in job order (0 for live jobs).
     pub job_events: Vec<u64>,
     /// Aggregate simulator throughput: total events over total
-    /// worker-busy seconds — the sweep-level number `BENCH/simcore.json`
-    /// tracks across commits.
+    /// worker-busy seconds.
     pub events_per_sec: f64,
     /// Total ladder event-queue overflow pushes across all jobs. Zero on
     /// any well-sized steady-state sweep: the rolling window absorbs

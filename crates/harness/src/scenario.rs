@@ -7,11 +7,9 @@
 //! deterministic [`SweepReport`]s into [`Artifacts`] — named tables,
 //! series, and JSON files with stable, byte-comparable rendering.
 //!
-//! This replaces the per-figure `main()` + `println!` boilerplate the
-//! `bench` binaries used to carry: experiments are declarative data
-//! handed to one engine (`harness run --scenario <name>`), and the
-//! legacy figure binaries are thin shims over the same registry entries.
-//! The catalog itself lives in [`crate::catalog`].
+//! Experiments are declarative data handed to one engine (`harness run
+//! --scenario <name>`) instead of a `main()` + `println!` binary per
+//! figure. The catalog itself lives in [`crate::catalog`].
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -55,8 +53,8 @@ impl ScenarioParams {
     /// The request count a sweep with full resolution `full` should use:
     /// the explicit override if given, else the legacy `--quick` scaling
     /// (`max(full / 8, 5000)`), else `full`. This is the exact
-    /// arithmetic of the legacy binaries' `Mode::requests`, so migrated
-    /// scenarios hit the same operating points in every mode.
+    /// arithmetic of the legacy figure binaries, so migrated scenarios
+    /// hit the same operating points in every mode.
     pub fn effective_requests(&self, full: u64) -> u64 {
         if let Some(requests) = self.requests {
             return requests;
@@ -288,7 +286,7 @@ impl Artifacts {
 }
 
 /// The directory figure artifacts are written to:
-/// `<workspace>/target/figures`, shared with the legacy binaries.
+/// `<workspace>/target/figures`.
 pub fn figures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")

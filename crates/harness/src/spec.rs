@@ -20,9 +20,7 @@ use dist::{ServiceDist, SyntheticKind};
 use live::{BurnMode, ClusterPlan, LivePolicy, LiveRunConfig};
 use metrics::LatencyBreakdown;
 use queueing::{QueueingModel, QxU, RunParams};
-use rpcvalet::{
-    McsParams, Policy, PreemptionParams, RequestSchedule, SamplePrefetch, ServerSim, SystemConfig,
-};
+use rpcvalet::{McsParams, Policy, PreemptionParams, RequestSchedule, ServerSim, SystemConfig};
 use simkit::rng::split_seed;
 use simkit::SimDuration;
 use sonuma::ChipParams;
@@ -32,36 +30,6 @@ use workloads::{scenario_config, Workload};
 /// Tag mixed into the master seed for replications beyond the first, so
 /// replication 0 reproduces the legacy single-run seeds bit-for-bit.
 const REPLICATION_SEED_TAG: u64 = 0x5EED_0000_0000;
-
-/// Process-wide [`SamplePrefetch`] override for sim jobs (`0` = none,
-/// else `1 + mode as u8`), settable from the CLI's `--prefetch` flag.
-/// Deliberately *not* part of [`ExperimentSpec`], the resume keys, or
-/// any digest: every prefetch mode is bit-identical by contract — the
-/// CI equivalence smoke diffs whole reports across modes to prove it —
-/// so this is a performance knob, not an experiment parameter.
-static PREFETCH_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Forces every subsequent sim job in this process to the given variate
-/// prefetch mode (`None` restores the [`SystemConfig`] default).
-pub fn set_prefetch_mode(mode: Option<SamplePrefetch>) {
-    let encoded = match mode {
-        None => 0,
-        Some(SamplePrefetch::Off) => 1,
-        Some(SamplePrefetch::Inline) => 2,
-        Some(SamplePrefetch::Thread) => 3,
-    };
-    PREFETCH_OVERRIDE.store(encoded, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The active override, if any.
-fn prefetch_override() -> Option<SamplePrefetch> {
-    match PREFETCH_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => Some(SamplePrefetch::Off),
-        2 => Some(SamplePrefetch::Inline),
-        3 => Some(SamplePrefetch::Thread),
-        _ => None,
-    }
-}
 
 /// The execution path of a job (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -523,9 +491,6 @@ impl ExperimentSpec {
                 let baked = self.trace_capacity;
                 let mut cfg = self.sim_config();
                 cfg.trace_capacity = baked.max(capture);
-                if let Some(mode) = prefetch_override() {
-                    cfg.prefetch = mode;
-                }
                 if series_interval_ps > 0 {
                     cfg.series_interval = Some(SimDuration::from_ps(series_interval_ps));
                 }
@@ -1077,10 +1042,10 @@ impl ScenarioMatrix {
 
     /// Looks up a predefined matrix by name at full paper resolution.
     ///
-    /// The definitions are shared with the figure binaries (`fig2`,
+    /// The definitions are shared with the scenario catalog (`fig2`,
     /// `fig7`, `fig8`, `ablation_outstanding` resolve their matrices
-    /// here), so CLI runs reproduce the binaries' numbers exactly — same
-    /// seeds, grids, and request counts.
+    /// here), so `--matrix` runs reproduce the scenarios' numbers
+    /// exactly — same seeds, grids, and request counts.
     ///
     /// | name | kind | contents |
     /// |---|---|---|

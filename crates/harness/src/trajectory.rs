@@ -11,22 +11,20 @@
 //!
 //! Each [`TrajectoryMetric`] carries its own gate direction, so one
 //! generic checker serves both deterministic scenario stores (digest +
-//! `exact` metrics — any drift fails) and machine-speed-dependent bench
-//! stores like `simcore` (`higher`-is-better speedup ratios under a
-//! tolerance, `info` rows recorded but never gated).
+//! `exact` metrics — any drift fails; `higher`/`lower` metrics strict or
+//! under a tolerance) and wall-clock ones like `live_smoke` (`info`
+//! rows, recorded but never gated).
 //!
-//! The legacy root files this subsystem replaced — a full
-//! [`SweepReport`] and the `simbench` suite report — are readable via
-//! [`migrate_legacy`]; the committed `BENCH/fig8.json` /
-//! `BENCH/simcore.json` stores were produced by it, and
-//! `crates/harness/tests/trajectory_migration.rs` pins the carried
-//! values bit-identical against the fixtures preserved in
-//! `crates/harness/tests/fixtures/`.
+//! The committed `BENCH/fig8.json` entry was carried over from a full
+//! [`SweepReport`] recorded before this store existed (preserved as
+//! `crates/harness/tests/fixtures/legacy_fig8_quick.json`);
+//! `crates/harness/tests/digest_pinning.rs` pins its digest and metrics
+//! against that fixture and re-simulates it.
 
 use std::path::{Path, PathBuf};
 
 use metrics::Digest64;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::report::{SweepReport, SweepTiming};
 use crate::scenario::ScenarioParams;
@@ -119,8 +117,7 @@ impl SidecarStats {
 pub struct TrajectoryEntry {
     /// Commit id the entry was recorded at (`"unknown"` outside git).
     pub commit: String,
-    /// The owning scenario's registry name (or bench-suite name, e.g.
-    /// `"simcore"`).
+    /// The owning scenario's registry name.
     pub scenario: String,
     /// Schema version of the reports the entry was computed from
     /// ([`crate::REPORT_VERSION`] for scenario entries).
@@ -350,220 +347,6 @@ pub fn params_for_entry(entry: &TrajectoryEntry) -> ScenarioParams {
     }
 }
 
-/// Reads a legacy root-level `BENCH_*_quick.json` report (a plain
-/// [`SweepReport`], preserved as
-/// `crates/harness/tests/fixtures/legacy_fig8_quick.json`) into a
-/// trajectory entry. The report carries no sidecar, so the wall-time
-/// stats are zero; the per-job request count becomes the entry's replay
-/// override.
-pub fn entry_from_legacy_report(report: &SweepReport, commit: &str) -> TrajectoryEntry {
-    let reports = std::slice::from_ref(report);
-    TrajectoryEntry {
-        commit: commit.to_owned(),
-        scenario: report.scenario.clone(),
-        schema_version: report.version,
-        quick: false,
-        requests: report.jobs.first().map(|j| j.requests).unwrap_or(0),
-        master_seed: report.master_seed,
-        jobs: report.jobs.len() as u64,
-        measurement_digest: digest_reports(reports),
-        metrics: scenario_metrics(reports),
-        sidecar: SidecarStats::unknown(),
-    }
-}
-
-fn num(value: &Value, what: &str) -> Result<f64, String> {
-    match value {
-        Value::Number(n) => Ok(n.as_f64()),
-        _ => Err(format!("legacy simcore report: `{what}` is not a number")),
-    }
-}
-
-fn uint(value: &Value, what: &str) -> Result<u64, String> {
-    match value {
-        Value::Number(n) => n
-            .as_u64()
-            .ok_or_else(|| format!("legacy simcore report: `{what}` is not a u64")),
-        _ => Err(format!("legacy simcore report: `{what}` is not a number")),
-    }
-}
-
-fn text(value: &Value, what: &str) -> Result<String, String> {
-    match value {
-        Value::String(s) => Ok(s.clone()),
-        _ => Err(format!("legacy simcore report: `{what}` is not a string")),
-    }
-}
-
-fn rows<'v>(value: &'v Value, what: &str) -> Result<&'v [Value], String> {
-    match value.get_or_err(what).map_err(|e| e.to_string())? {
-        Value::Array(items) => Ok(items),
-        _ => Err(format!("legacy simcore report: `{what}` is not an array")),
-    }
-}
-
-/// Like [`rows`], but absent sections read as empty: report sections
-/// added after v1 (`wrap`, `samplers`) are missing from legacy files.
-fn opt_rows<'v>(value: &'v Value, what: &str) -> Result<&'v [Value], String> {
-    match value.get(what) {
-        None => Ok(&[]),
-        Some(Value::Array(items)) => Ok(items),
-        Some(_) => Err(format!("legacy simcore report: `{what}` is not an array")),
-    }
-}
-
-/// Reads the `simbench` suite report (the legacy root format, preserved
-/// as `crates/harness/tests/fixtures/legacy_simcore.json`,
-/// and the live suite output — `simbench --store` serializes through
-/// this same function, so the store and the migration agree by
-/// construction). Queue-churn rows are `info` (sub-second microbenches,
-/// warmup-noisy); wrap-churn overflow counters and window counts gate
-/// `exact` (deterministic, and zero-overflow is the rolling-window
-/// property under test); blocked-sampler and full-system sim speedups
-/// gate `higher`, as does the fig8 ladder events/sec (the raw-speed
-/// trajectory number); deterministic event counts and p99s gate `exact`.
-pub fn entry_from_simcore_value(report: &Value, commit: &str) -> Result<TrajectoryEntry, String> {
-    let version = uint(report.get_or_err("version").map_err(|e| e.to_string())?, "version")?;
-    let queue = rows(report, "queue")?;
-    let wrap = opt_rows(report, "wrap")?;
-    let samplers = opt_rows(report, "samplers")?;
-    let sim = rows(report, "sim")?;
-    let sweep = rows(report, "sweep")?;
-
-    let mut metrics = Vec::new();
-    for row in queue {
-        let pending = uint(&row["pending"], "queue.pending")?;
-        for (field, gate) in [
-            ("heap_meps", GATE_INFO),
-            ("ladder_meps", GATE_INFO),
-            ("speedup", GATE_INFO),
-        ] {
-            metrics.push(TrajectoryMetric {
-                name: format!("queue/depth{pending}/{field}"),
-                value: num(&row[field], field)?,
-                gate: gate.to_owned(),
-            });
-        }
-    }
-    let mut requests = 0;
-    let mut jobs = queue.len() as u64;
-    for row in wrap {
-        let pending = uint(&row["pending"], "wrap.pending")?;
-        jobs += 1;
-        for (field, gate) in [
-            ("ladder_meps", GATE_INFO),
-            ("windows_crossed", GATE_EXACT),
-            ("overflow_pushes", GATE_EXACT),
-            ("overflow_migrations", GATE_EXACT),
-        ] {
-            metrics.push(TrajectoryMetric {
-                name: format!("wrap/depth{pending}/{field}"),
-                value: num(&row[field], field)?,
-                gate: gate.to_owned(),
-            });
-        }
-    }
-    for row in samplers {
-        let label = text(&row["label"], "samplers.label")?;
-        jobs += 1;
-        for (field, gate) in [
-            ("scalar_msps", GATE_INFO),
-            ("blocked_msps", GATE_INFO),
-            ("speedup", GATE_HIGHER),
-        ] {
-            metrics.push(TrajectoryMetric {
-                name: format!("samplers/{label}/{field}"),
-                value: num(&row[field], field)?,
-                gate: gate.to_owned(),
-            });
-        }
-    }
-    // v2 reports promote the fig8 ladder events/sec from a recorded-only
-    // trajectory number to a `higher` gate (the raw-speed headline); v1
-    // entries keep `info` so the committed legacy migration stays
-    // bit-identical.
-    let eps_gate = if version >= 2 { GATE_HIGHER } else { GATE_INFO };
-    for row in sim {
-        let label = text(&row["label"], "sim.label")?;
-        requests = uint(&row["requests"], "sim.requests")?;
-        jobs += 1;
-        for (field, gate) in [
-            ("heap_eps", GATE_INFO),
-            ("ladder_eps", eps_gate),
-            ("speedup", GATE_HIGHER),
-            ("events", GATE_EXACT),
-            ("p99_latency_ns", GATE_EXACT),
-        ] {
-            metrics.push(TrajectoryMetric {
-                name: format!("sim/{label}/{field}"),
-                value: num(&row[field], field)?,
-                gate: gate.to_owned(),
-            });
-        }
-    }
-    let mut sidecar = SidecarStats::unknown();
-    for row in sweep {
-        let matrix = text(&row["matrix"], "sweep.matrix")?;
-        jobs += 1;
-        for (field, gate) in [
-            ("total_events", GATE_EXACT),
-            ("cpu_ms", GATE_INFO),
-            ("events_per_sec", GATE_INFO),
-        ] {
-            metrics.push(TrajectoryMetric {
-                name: format!("sweep/{matrix}/{field}"),
-                value: num(&row[field], field)?,
-                gate: gate.to_owned(),
-            });
-        }
-        sidecar = SidecarStats {
-            threads: uint(&row["threads"], "sweep.threads")?,
-            // The suite report records worker-busy time only; elapsed
-            // wall time stays 0 (= unrecorded) rather than aliasing
-            // cpu_ms into a field documented as wall-clock.
-            total_wall_ms: 0.0,
-            cpu_ms: num(&row["cpu_ms"], "cpu_ms")?,
-            events: uint(&row["total_events"], "total_events")?,
-            events_per_sec: num(&row["events_per_sec"], "events_per_sec")?,
-        };
-    }
-
-    Ok(TrajectoryEntry {
-        commit: commit.to_owned(),
-        scenario: "simcore".to_owned(),
-        schema_version: version as u32,
-        quick: false,
-        requests,
-        master_seed: 0,
-        jobs,
-        // The suite measures wall-clock throughput; there is no
-        // deterministic digest to pin (the exact-gated metrics cover the
-        // deterministic values).
-        measurement_digest: String::new(),
-        metrics,
-        sidecar,
-    })
-}
-
-/// Reads either legacy root-level `BENCH_*` format — a [`SweepReport`]
-/// or the `simbench` suite report — into `(store name, entry)`. The
-/// file kind is sniffed from its fields.
-pub fn migrate_legacy(json: &str, commit: &str) -> Result<(String, TrajectoryEntry), String> {
-    let value: Value = serde_json::from_str(json).map_err(|e| format!("parse legacy file: {e}"))?;
-    if value.get("jobs").is_some() {
-        let report = SweepReport::from_json(json)
-            .map_err(|e| format!("parse legacy sweep report: {e}"))?;
-        let entry = entry_from_legacy_report(&report, commit);
-        Ok((entry.scenario.clone(), entry))
-    } else if value.get("sim").is_some() {
-        let entry = entry_from_simcore_value(&value, commit)?;
-        Ok((entry.scenario.clone(), entry))
-    } else {
-        Err("unrecognized legacy BENCH file (neither a sweep report nor a simbench report)"
-            .to_owned())
-    }
-}
-
 /// The outcome of checking a fresh run against a recorded entry.
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
@@ -584,9 +367,9 @@ impl CheckReport {
         self.failures.is_empty()
     }
 
-    /// The human rendering both `harness bench --check` and
-    /// `simbench --store --check` print: notes, the compared/skipped
-    /// tally, then either "no regressions" or one line per failure.
+    /// The human rendering `harness bench --check` prints: notes, the
+    /// compared/skipped tally, then either "no regressions" or one line
+    /// per failure.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -611,9 +394,7 @@ impl CheckReport {
 
 /// Appends `entry` to the store at `path`, creating a fresh store for
 /// `scenario` when the file does not exist yet. Returns the entry count
-/// after the append — the one record flow shared by
-/// `harness bench --record`, `--migrate-legacy`, and
-/// `simbench --store --record`.
+/// after the append (`harness bench --record`).
 pub fn record_into_store(
     path: &Path,
     scenario: &str,

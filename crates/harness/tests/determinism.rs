@@ -10,7 +10,7 @@
 use dist::ServiceDist;
 use harness::{run_matrix, RateGrid, ScenarioMatrix};
 use queueing::QxU;
-use rpcvalet::{sweep_rates, Policy, RateSweepSpec, ServerSim};
+use rpcvalet::{Policy, ServerSim};
 use simkit::rng::split_seed;
 use workloads::{scenario_config, Workload};
 
@@ -83,42 +83,6 @@ fn harness_reproduces_a_direct_sequential_run() {
     assert_eq!(direct.throughput_rps, job.throughput_rps);
     assert_eq!(direct.measured, job.measured);
     assert_eq!(direct.load_balance_jain, job.load_balance_jain);
-}
-
-#[test]
-fn harness_matches_legacy_sweep_rates_bit_for_bit() {
-    // One (workload, policy) sweep: the harness must reproduce
-    // rpcvalet::sweep_rates (the engine behind the old fig7/fig8 loops)
-    // exactly, because both derive point seeds the same way.
-    let rates = vec![4.0e6, 10.0e6, 16.0e6];
-    let seed = 42;
-    let requests = 8_000;
-
-    let matrix = ScenarioMatrix::new("legacy-compare", seed)
-        .workloads(vec![Workload::Herd])
-        .policies(vec![Policy::hw_partitioned()])
-        .rates(RateGrid::Shared(rates.clone()))
-        .requests(requests, requests / 10);
-    let (report, _) = run_matrix(&matrix, 3);
-
-    let base = scenario_config(Workload::Herd, Policy::hw_partitioned(), rates[0], seed);
-    let (curve, results) = sweep_rates(
-        &base,
-        &RateSweepSpec {
-            rates_rps: rates,
-            requests,
-            warmup: requests / 10,
-            seed,
-        },
-    );
-
-    assert_eq!(report.jobs.len(), results.len());
-    for ((job, point), result) in report.jobs.iter().zip(&curve.points).zip(&results) {
-        assert_eq!(job.p99_latency_ns, point.p99_latency_ns);
-        assert_eq!(job.throughput_rps, point.throughput_rps);
-        assert_eq!(job.mean_latency_ns, result.mean_latency_ns);
-        assert_eq!(job.measured, result.measured);
-    }
 }
 
 fn small_queueing_matrix() -> ScenarioMatrix {

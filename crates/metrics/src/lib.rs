@@ -42,7 +42,6 @@ pub mod percentile;
 pub mod series;
 pub mod slo;
 pub mod summary;
-pub mod timeseries;
 
 pub use accounting::RequestAccounting;
 pub use breakdown::LatencyBreakdown;
@@ -57,4 +56,3 @@ pub use percentile::{
 pub use series::{CurvePoint, LatencyCurve};
 pub use slo::{throughput_under_slo, SloSpec};
 pub use summary::Summary;
-pub use timeseries::TimeSeries;

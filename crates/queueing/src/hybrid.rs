@@ -8,8 +8,6 @@
 
 use dist::{ServiceDist, SyntheticKind};
 
-use crate::model::{QueueingModel, QxU};
-
 /// Builds the theoretical service-time model: a fixed `S̄ − D` component
 /// plus the distributed `D` component of the given synthetic kind
 /// (mean 600 ns, including its own 300 ns base).
@@ -36,16 +34,10 @@ pub fn hybrid_service(measured_s_bar_ns: f64, kind: SyntheticKind) -> ServiceDis
     ServiceDist::shifted(measured_s_bar_ns - d_mean, d)
 }
 
-/// The theoretical 1×16 model for a measured S̄ and synthetic kind — the
-/// "Model" lines of Fig. 9.
-pub fn fig9_model(measured_s_bar_ns: f64, kind: SyntheticKind) -> QueueingModel {
-    QueueingModel::new(QxU::SINGLE_16, hybrid_service(measured_s_bar_ns, kind))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::RunParams;
+    use crate::model::{QueueingModel, QxU, RunParams};
 
     #[test]
     fn hybrid_mean_matches_measured_s_bar() {
@@ -83,12 +75,6 @@ mod tests {
             r_hybrid.p99_over_mean_service(),
             r_pure.p99_over_mean_service()
         );
-    }
-
-    #[test]
-    fn fig9_model_is_single_queue() {
-        let m = fig9_model(820.0, SyntheticKind::Gev);
-        assert_eq!(m.config(), QxU::SINGLE_16);
     }
 
     #[test]

@@ -27,9 +27,7 @@
 //! * [`rendezvous`] — the §4.2 large-message path: control `send` +
 //!   one-sided payload pull;
 //! * [`system`] — the end-to-end server simulation combining the soNUMA
-//!   substrate, the messaging protocol, and a dispatch policy;
-//! * [`sweep`] — load sweeps producing the latency/throughput curves of
-//!   Figs. 7–9.
+//!   substrate, the messaging protocol, and a dispatch policy.
 //!
 //! ## Example: one simulated operating point
 //!
@@ -62,16 +60,14 @@ pub mod mcs;
 pub mod reassembly;
 pub mod rendezvous;
 mod slab;
-pub mod sweep;
 pub mod system;
 pub mod trace;
 
 pub use dispatch::Policy;
 pub use domain::MessagingDomain;
 pub use mcs::McsParams;
-pub use sweep::{sweep_rates, RateSweepSpec};
 pub use trace::{RequestTrace, TraceLog};
 pub use system::{
-    PreemptionParams, RequestSchedule, RunResult, SamplePrefetch, ServerSim, SystemConfig,
-    SystemConfigBuilder, PREFETCH_BLOCK,
+    PreemptionParams, RequestSchedule, RunResult, ServerSim, SystemConfig, SystemConfigBuilder,
+    PREFETCH_BLOCK,
 };

@@ -57,40 +57,15 @@ impl PreemptionParams {
     }
 }
 
-/// How the generated-traffic variate stream (arrival gaps, sources,
-/// service times) is produced for the event loop.
-///
-/// All three modes are bit-identical by construction: each RNG stream
-/// (arrivals on one, service draws on another) is consumed in the scalar
-/// order with the scalar per-sample arithmetic — the blocked modes only
-/// move *when* the draws happen, never *what* they compute. The
-/// `prefetch_modes_are_bit_identical` test pins this, and the CI
-/// equivalence smoke diffs whole reports across modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SamplePrefetch {
-    /// One scalar draw per arrival, inside the event loop — the
-    /// reference path the blocked modes are checked against.
-    Off,
-    /// Blocked inline generation (the default): the next
-    /// [`PREFETCH_BLOCK`] variates are drawn into a reused buffer in
-    /// tight per-distribution loops, then handed out one arrival at a
-    /// time; the ln/exp transforms vectorize and the event loop touches
-    /// no RNG state between refills.
-    #[default]
-    Inline,
-    /// A decoupled producer thread generates blocks ahead of the event
-    /// loop over a small bounded channel. Deterministic by construction
-    /// (the stream's *content* never depends on timing); on a single
-    /// hardware thread this mostly demonstrates the decoupling — the
-    /// win appears when a spare core can hide the variate generation.
-    Thread,
-}
-
-/// Variates generated per refill by the blocked prefetch modes.
+/// Variates generated per refill of the arrival/service stream: the
+/// next `PREFETCH_BLOCK` draws go into a reused buffer in tight
+/// per-distribution loops and are handed out one arrival at a time, so
+/// the ln/exp transforms vectorize and the event loop touches no RNG
+/// state between refills. Each RNG stream (arrivals on one, service
+/// draws on another) is still consumed in the scalar order with the
+/// scalar per-sample arithmetic — blocking moves *when* the draws
+/// happen, never *what* they compute.
 pub const PREFETCH_BLOCK: usize = 256;
-
-/// Blocks buffered in flight by [`SamplePrefetch::Thread`]'s channel.
-const PREFETCH_DEPTH: usize = 4;
 
 /// A recorded arrival schedule: the replay input for
 /// `harness trace --replay`, where a captured trace (typically a live
@@ -201,9 +176,6 @@ pub struct SystemConfig {
     /// ignored for generation (the rate is still reported as offered
     /// load).
     pub schedule: Option<std::sync::Arc<RequestSchedule>>,
-    /// Window length for the completion time series (`None` disables).
-    /// Used to check stationarity of an operating point.
-    pub timeseries_window: Option<SimDuration>,
     /// Fixed-interval occupancy sampling cadence for the full
     /// [`telemetry::SeriesRecorder`] series (`None` disables). The
     /// sampler is driven off simulated time at the top of the event
@@ -223,14 +195,9 @@ pub struct SystemConfig {
     pub rss_per_flow: bool,
     /// Event-queue backend. Defaults to the allocation-free ladder
     /// ([`EventQueueKind::default_ladder`]); both backends pop in
-    /// bit-identical order, so this knob trades speed only — `simbench`
-    /// uses it to compare the backends on identical runs.
+    /// bit-identical order, so this knob trades speed only — the heap is
+    /// the reference the system-level equivalence tests compare against.
     pub event_queue: EventQueueKind,
-    /// How the generated-traffic variate stream is produced (see
-    /// [`SamplePrefetch`]). Ignored under replay, which reads the
-    /// recorded schedule and draws nothing. Every mode yields
-    /// bit-identical measurements; the knob trades speed only.
-    pub prefetch: SamplePrefetch,
 }
 
 impl SystemConfig {
@@ -267,12 +234,10 @@ impl SystemConfigBuilder {
                 preemption: None,
                 trace_capacity: 0,
                 schedule: None,
-                timeseries_window: None,
                 series_interval: None,
                 critical_threshold_ns: None,
                 rss_per_flow: false,
                 event_queue: EventQueueKind::default_ladder(),
-                prefetch: SamplePrefetch::default(),
             },
         }
     }
@@ -364,12 +329,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Records a windowed completion time series with the given window.
-    pub fn timeseries_window(mut self, window: SimDuration) -> Self {
-        self.config.timeseries_window = Some(window);
-        self
-    }
-
     /// Records a full occupancy/queue-depth series sampled every
     /// `interval` of simulated time (see
     /// [`SystemConfig::series_interval`]).
@@ -395,12 +354,6 @@ impl SystemConfigBuilder {
     /// [`SystemConfig::event_queue`]).
     pub fn event_queue(mut self, kind: EventQueueKind) -> Self {
         self.config.event_queue = kind;
-        self
-    }
-
-    /// Selects the variate prefetch mode (see [`SamplePrefetch`]).
-    pub fn prefetch(mut self, prefetch: SamplePrefetch) -> Self {
-        self.config.prefetch = prefetch;
         self
     }
 
@@ -486,10 +439,6 @@ pub struct RunResult {
     pub load_balance_jain: f64,
     /// Per-request timelines, when tracing was enabled.
     pub traces: TraceLog,
-    /// Windowed completion series, when enabled; its
-    /// [`drift_ratio`](metrics::TimeSeries::drift_ratio) ≫ 1 flags an
-    /// operating point that never reached steady state (overload).
-    pub timeseries: Option<metrics::TimeSeries>,
     /// Full fixed-interval telemetry series (windowed counters, latency
     /// histograms, core occupancy, queue depths), when
     /// [`SystemConfig::series_interval`] is set. Completions are
@@ -497,8 +446,8 @@ pub struct RunResult {
     /// which is the point of the trajectory view.
     pub series: Option<telemetry::JobSeries>,
     /// Total simulator events popped over the whole run — the
-    /// denominator of the events/sec throughput `simbench` and the
-    /// harness timing sidecar report.
+    /// denominator of the events/sec throughput the harness timing
+    /// sidecar reports.
     pub events_processed: u64,
     /// Peak live message records: the slab's footprint. Bounded by the
     /// in-flight request count (not the total request count) whenever
@@ -728,145 +677,44 @@ impl VariateBlock {
 }
 
 /// The generated-traffic variate producer behind
-/// [`Runner::schedule_next_arrival`] — scalar, blocked-inline, or a
-/// decoupled producer thread, per [`SamplePrefetch`]. Replay runs hold
-/// the inert `Scalar` variant and never call [`VariateSource::next`].
-enum VariateSource {
-    /// Scalar draws in the event loop ([`SamplePrefetch::Off`]).
-    Scalar {
-        traffic: TrafficGenerator,
-        service_rng: rand::rngs::SmallRng,
-    },
-    /// Blocked inline generation ([`SamplePrefetch::Inline`]).
-    Inline {
-        traffic: TrafficGenerator,
-        service_rng: rand::rngs::SmallRng,
-        block: VariateBlock,
-        cursor: usize,
-        /// Requests not yet drawn into any block; refills clamp to this
-        /// so the RNG streams are consumed exactly as far as scalar mode
-        /// would.
-        left: u64,
-    },
-    /// Decoupled producer thread ([`SamplePrefetch::Thread`]).
-    Thread {
-        /// `Some` until drop; taken first so a producer blocked on the
-        /// full channel wakes (send error) before the join.
-        rx: Option<std::sync::mpsc::Receiver<VariateBlock>>,
-        producer: Option<std::thread::JoinHandle<()>>,
-        block: VariateBlock,
-        cursor: usize,
-    },
+/// [`Runner::schedule_next_arrival`]: blocked inline generation,
+/// [`PREFETCH_BLOCK`] variates per refill. Replay runs read the recorded
+/// schedule, draw nothing, and construct no source.
+struct VariateSource {
+    traffic: TrafficGenerator,
+    service_rng: rand::rngs::SmallRng,
+    block: VariateBlock,
+    cursor: usize,
+    /// Requests not yet drawn into any block; refills clamp to this so
+    /// the RNG streams are consumed exactly as far as scalar draws
+    /// would.
+    left: u64,
 }
 
 impl VariateSource {
     fn new(cfg: &SystemConfig) -> Self {
-        let traffic = TrafficGenerator::new(cfg.cluster_nodes, cfg.rate_rps, cfg.seed);
-        let service_rng = stream_rng(cfg.seed, 1);
-        let mode = if cfg.schedule.is_some() {
-            SamplePrefetch::Off
-        } else {
-            cfg.prefetch
-        };
-        match mode {
-            SamplePrefetch::Off => VariateSource::Scalar {
-                traffic,
-                service_rng,
-            },
-            SamplePrefetch::Inline => VariateSource::Inline {
-                traffic,
-                service_rng,
-                block: VariateBlock::empty(),
-                cursor: 0,
-                left: cfg.requests,
-            },
-            SamplePrefetch::Thread => {
-                let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_DEPTH);
-                let service = cfg.service.clone();
-                let mut traffic = traffic;
-                let mut service_rng = service_rng;
-                let mut left = cfg.requests;
-                let producer = std::thread::spawn(move || {
-                    while left > 0 {
-                        let n = (left as usize).min(PREFETCH_BLOCK);
-                        let mut block = VariateBlock::empty();
-                        block.refill(n, &mut traffic, &service, &mut service_rng);
-                        left -= n as u64;
-                        if tx.send(block).is_err() {
-                            return; // consumer dropped mid-run
-                        }
-                    }
-                });
-                VariateSource::Thread {
-                    rx: Some(rx),
-                    producer: Some(producer),
-                    block: VariateBlock::empty(),
-                    cursor: 0,
-                }
-            }
+        VariateSource {
+            traffic: TrafficGenerator::new(cfg.cluster_nodes, cfg.rate_rps, cfg.seed),
+            service_rng: stream_rng(cfg.seed, 1),
+            block: VariateBlock::empty(),
+            cursor: 0,
+            left: cfg.requests,
         }
     }
 
-    /// The next (arrival time, source, service time) triple —
-    /// bit-identical across all modes for a given seed.
+    /// The next (arrival time, source, service time) triple.
     fn next(&mut self, service: &ServiceDist) -> (SimTime, usize, SimDuration) {
-        match self {
-            VariateSource::Scalar {
-                traffic,
-                service_rng,
-            } => {
-                let arrival = traffic.next_arrival();
-                let drawn = service.sample(service_rng);
-                (arrival.time, arrival.source.index(), drawn)
-            }
-            VariateSource::Inline {
-                traffic,
-                service_rng,
-                block,
-                cursor,
-                left,
-            } => {
-                if *cursor == block.len() {
-                    let n = (*left as usize).min(PREFETCH_BLOCK);
-                    debug_assert!(n > 0, "the caller never draws past cfg.requests");
-                    block.refill(n, traffic, service, service_rng);
-                    *left -= n as u64;
-                    *cursor = 0;
-                }
-                let i = *cursor;
-                *cursor = i + 1;
-                block.get(i)
-            }
-            VariateSource::Thread {
-                rx, block, cursor, ..
-            } => {
-                if *cursor == block.len() {
-                    *block = rx
-                        .as_ref()
-                        .expect("receiver lives until drop")
-                        .recv()
-                        .expect("producer covers exactly cfg.requests variates");
-                    *cursor = 0;
-                }
-                let i = *cursor;
-                *cursor = i + 1;
-                block.get(i)
-            }
+        if self.cursor == self.block.len() {
+            let n = (self.left as usize).min(PREFETCH_BLOCK);
+            debug_assert!(n > 0, "the caller never draws past cfg.requests");
+            self.block
+                .refill(n, &mut self.traffic, service, &mut self.service_rng);
+            self.left -= n as u64;
+            self.cursor = 0;
         }
-    }
-}
-
-impl Drop for VariateSource {
-    fn drop(&mut self) {
-        if let VariateSource::Thread { rx, producer, .. } = self {
-            // Dropping the receiver first unblocks a producer parked on
-            // the full channel; the join then reaps it promptly instead
-            // of leaking a thread per abandoned run.
-            drop(rx.take());
-            if let Some(handle) = producer.take() {
-                let _ = handle.join();
-            }
-        }
+        let i = self.cursor;
+        self.cursor = i + 1;
+        self.block.get(i)
     }
 }
 
@@ -877,9 +725,8 @@ struct Runner<'a> {
     /// The message slab and sample buffers, reused across runs.
     scratch: &'a mut RunScratch,
     engine: Engine<Ev>,
-    /// Arrival/service variate stream (scalar, blocked, or threaded —
-    /// see [`SamplePrefetch`]); replay runs never consult it.
-    variates: VariateSource,
+    /// Arrival/service variate stream; `None` under replay.
+    variates: Option<VariateSource>,
     static_rng: rand::rngs::SmallRng,
     domain: MessagingDomain,
     reassembly: ReassemblyTable,
@@ -913,7 +760,6 @@ struct Runner<'a> {
     preemptions: u64,
     core_completions: Vec<u64>,
     traces: TraceLog,
-    timeseries: Option<metrics::TimeSeries>,
     /// Fixed-interval telemetry sampler state. The recorder is fed at
     /// the top of the event loop (never via engine events), so it is
     /// pure observation: every counter below tracks state the runner
@@ -993,7 +839,7 @@ impl<'a> Runner<'a> {
             cfg,
             scratch,
             engine,
-            variates: VariateSource::new(cfg),
+            variates: cfg.schedule.is_none().then(|| VariateSource::new(cfg)),
             static_rng: stream_rng(cfg.seed, 2),
             domain: MessagingDomain::new(
                 cfg.cluster_nodes,
@@ -1023,7 +869,6 @@ impl<'a> Runner<'a> {
             preemptions: 0,
             core_completions: vec![0; chip.cores],
             traces: TraceLog::with_capacity(cfg.trace_capacity),
-            timeseries: cfg.timeseries_window.map(metrics::TimeSeries::new),
             series: cfg.series_interval.map(|interval| {
                 telemetry::SeriesRecorder::new(interval.as_ps(), chip.cores, series_groups(cfg))
             }),
@@ -1100,7 +945,11 @@ impl<'a> Runner<'a> {
                     SimDuration::from_ns_f64(schedule.service_ns[i]),
                 )
             }
-            None => self.variates.next(&self.cfg.service),
+            None => self
+                .variates
+                .as_mut()
+                .expect("generated-traffic runs construct a variate source")
+                .next(&self.cfg.service),
         };
         self.generated += 1;
         self.next_msg = self.scratch.msgs.alloc(MsgState {
@@ -1392,9 +1241,6 @@ impl<'a> Runner<'a> {
         if self.completions > self.cfg.warmup {
             let lat = now.duration_since(state.first_pkt);
             self.latency.record(lat);
-            if let Some(ts) = &mut self.timeseries {
-                ts.record(now, lat.as_ns_f64());
-            }
             self.scratch.latency_samples.push(lat.as_ns_f64());
             if let Some(threshold) = self.cfg.critical_threshold_ns {
                 if state.service.as_ns_f64() < threshold {
@@ -1609,7 +1455,6 @@ impl<'a> Runner<'a> {
             flow_control_deferrals: self.deferrals,
             preemptions: self.preemptions,
             traces: self.traces,
-            timeseries: self.timeseries,
             series: self.series.map(|recorder| {
                 recorder.into_job(
                     &self
@@ -1788,62 +1633,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_modes_are_bit_identical() {
-        // The decoupling contract: Off (scalar reference), Inline
-        // (blocked ping-pong buffer), and Thread (producer thread over a
-        // channel) must agree on every output bit. Exercised with both a
-        // blockable service dist (exponential) and one that falls back
-        // to scalar selection (mixture).
-        let services = [
-            ServiceDist::exponential_mean_ns(600.0),
-            ServiceDist::mixture(vec![
-                (0.95, ServiceDist::lognormal_mean_ns(500.0, 0.4)),
-                (0.05, ServiceDist::gev_cycles(363.0, 100.0, 0.65)),
-            ]),
-        ];
-        for service in services {
-            let mk = |prefetch: SamplePrefetch| {
-                let mut cfg = base(Policy::hw_single_queue(), 12.0e6, 55);
-                cfg.service = service.clone();
-                cfg.prefetch = prefetch;
-                ServerSim::new(cfg).run()
-            };
-            let off = mk(SamplePrefetch::Off);
-            let inline = mk(SamplePrefetch::Inline);
-            let threaded = mk(SamplePrefetch::Thread);
-            for r in [&inline, &threaded] {
-                assert_eq!(off.p99_latency_ns.to_bits(), r.p99_latency_ns.to_bits());
-                assert_eq!(off.p50_latency_ns.to_bits(), r.p50_latency_ns.to_bits());
-                assert_eq!(off.mean_latency_ns.to_bits(), r.mean_latency_ns.to_bits());
-                assert_eq!(off.throughput_rps.to_bits(), r.throughput_rps.to_bits());
-                assert_eq!(off.measured, r.measured);
-                assert_eq!(off.events_processed, r.events_processed);
-                assert_eq!(off.core_completions, r.core_completions);
-                assert_eq!(off.flow_control_deferrals, r.flow_control_deferrals);
-            }
-        }
-        // Blocked inline generation is the default.
-        assert_eq!(
-            SystemConfig::builder().build().prefetch,
-            SamplePrefetch::Inline
-        );
-    }
-
-    #[test]
-    fn replay_ignores_prefetch_mode() {
-        let schedule = std::sync::Arc::new(synthetic_schedule(1_000, 300, 700.0));
-        let mk = |prefetch: SamplePrefetch| {
-            let mut cfg = replay_cfg(schedule.clone(), 1_000);
-            cfg.prefetch = prefetch;
-            ServerSim::new(cfg).run()
-        };
-        let off = mk(SamplePrefetch::Off);
-        let threaded = mk(SamplePrefetch::Thread);
-        assert_eq!(off.p99_latency_ns.to_bits(), threaded.p99_latency_ns.to_bits());
-        assert_eq!(off.measured, threaded.measured);
-    }
-
-    #[test]
     fn queue_stats_surface_in_run_result() {
         // Heap backend: trivially zero.
         let mut heap_cfg = base(Policy::hw_single_queue(), 14.0e6, 4);
@@ -1921,39 +1710,6 @@ mod tests {
             "1 slot × 2 sources at 10 Mrps must defer"
         );
         assert_eq!(r.measured, 4_500, "deferred arrivals still complete");
-    }
-
-    #[test]
-    fn timeseries_flags_overload_and_clears_steady_state() {
-        let steady = {
-            let mut cfg = base(Policy::hw_single_queue(), 8.0e6, 41);
-            cfg.timeseries_window = Some(simkit::SimDuration::from_us(200));
-            ServerSim::new(cfg).run()
-        };
-        let drift = steady.timeseries.as_ref().unwrap().drift_ratio().unwrap();
-        assert!(
-            (0.7..1.4).contains(&drift),
-            "40% load should be stationary, drift {drift}"
-        );
-
-        // At overload the backlog grows for as long as send slots remain;
-        // provisioning ample slots keeps the ramp visible across the run.
-        let overloaded = {
-            let mut cfg = base(Policy::hw_single_queue(), 30.0e6, 41); // > capacity
-            cfg.warmup = 100;
-            cfg.send_slots_per_node = 4096; // flow control effectively off
-            cfg.timeseries_window = Some(simkit::SimDuration::from_us(100));
-            ServerSim::new(cfg).run()
-        };
-        let drift = overloaded
-            .timeseries
-            .as_ref()
-            .unwrap()
-            .drift_ratio()
-            .unwrap();
-        assert!(drift > 1.5, "overload should drift upward, drift {drift}");
-        // And throughput confirms saturation below the offered rate.
-        assert!(overloaded.throughput_rps < 25.0e6);
     }
 
     #[test]

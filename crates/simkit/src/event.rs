@@ -56,8 +56,7 @@ impl EventQueueKind {
     /// with probability ~e⁻²⁷ — never, at any realistic request count.
     /// Since every backend pops in bit-identical order, the horizon
     /// trades speed only, and the wider window also wins on raw
-    /// throughput (fewer ring-skip scans per pop; `simbench --horizons`
-    /// re-derives this choice empirically).
+    /// throughput (fewer ring-skip scans per pop).
     pub fn default_ladder() -> Self {
         EventQueueKind::Ladder {
             horizon: SimDuration::from_us(16),

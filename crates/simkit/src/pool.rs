@@ -1,9 +1,8 @@
 //! A minimal pull-based worker pool for embarrassingly parallel,
 //! deterministic job lists.
 //!
-//! One engine, shared by every layer that fans simulations out
-//! (`rpcvalet::sweep` point sweeps, the `harness` experiment matrices):
-//! a central [`TaskQueue`] owns the pending jobs and each worker thread
+//! The engine under the `harness` experiment matrices: a central
+//! [`TaskQueue`] owns the pending jobs and each worker thread
 //! *requests* its next job when it becomes free, so a straggler — say a
 //! saturated operating point simulating far more events than a light one
 //! — never idles the rest of the pool.

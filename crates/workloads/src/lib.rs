@@ -1,4 +1,4 @@
-//! # workloads — the paper's evaluation workloads and sweep drivers
+//! # workloads — the paper's evaluation workloads
 //!
 //! Packages the three workload families of §5 as ready-to-run scenarios:
 //!
@@ -9,8 +9,8 @@
 //!   with the SLO applied to `get`s only (Fig. 7b).
 //!
 //! [`Workload`] carries the distribution, the latency-critical threshold,
-//! and the paper's SLO rule; [`scenario`] builds `SystemConfig`s;
-//! [`comparison`] runs the multi-policy sweeps behind each figure.
+//! and the paper's SLO rule; [`scenario`] builds `SystemConfig`s. The
+//! multi-policy sweeps behind each figure are `harness` matrices.
 //!
 //! ## Example
 //!
@@ -26,10 +26,8 @@
 // needs no unsafe code, and the compiler now keeps it that way.
 #![forbid(unsafe_code)]
 
-pub mod comparison;
 pub mod scenario;
 pub mod workload;
 
-pub use comparison::{compare_policies, PolicyComparison};
 pub use scenario::scenario_config;
 pub use workload::Workload;

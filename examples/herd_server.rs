@@ -8,26 +8,27 @@
 //!
 //! Run with: `cargo run --release --example herd_server`
 
-use rpcvalet_repro::rpcvalet::{Policy, RateSweepSpec};
-use rpcvalet_repro::workloads::{compare_policies, Workload};
+use rpcvalet_repro::harness::{default_threads, run_matrix, RateGrid, ScenarioMatrix};
+use rpcvalet_repro::rpcvalet::Policy;
+use rpcvalet_repro::workloads::Workload;
 
 fn main() {
     // HERD's capacity on this chip is ~29 Mrps (16 cores / ~550 ns S̄);
     // sweep to just past saturation like Fig. 7a's 0–30 Mrps axis.
-    let spec = RateSweepSpec {
-        rates_rps: (1..=10).map(|i| i as f64 * 2.9e6).collect(),
-        requests: 120_000,
-        warmup: 12_000,
-        seed: 7,
-    };
-    let policies = [
-        Policy::hw_static(),
-        Policy::hw_partitioned(),
-        Policy::hw_single_queue(),
-    ];
+    let matrix = ScenarioMatrix::new("herd_server", 7)
+        .workloads(vec![Workload::Herd])
+        .policies(vec![
+            Policy::hw_static(),
+            Policy::hw_partitioned(),
+            Policy::hw_single_queue(),
+        ])
+        .rates(RateGrid::Shared(
+            (1..=10).map(|i| i as f64 * 2.9e6).collect(),
+        ))
+        .requests(120_000, 12_000);
 
     println!("HERD (mean 330 ns) under three NI dispatch policies\n");
-    let comparisons = compare_policies(Workload::Herd, &policies, &spec);
+    let comparisons = run_matrix(&matrix, default_threads()).0.summaries();
 
     println!(
         "{:<8} {:>14} {:>18}",
@@ -36,7 +37,7 @@ fn main() {
     for c in &comparisons {
         println!(
             "{:<8} {:>14.0} {:>18.2}",
-            c.label,
+            c.policy,
             c.mean_service_ns,
             c.throughput_under_slo_rps / 1e6
         );
@@ -45,7 +46,7 @@ fn main() {
     let find = |l: &str| {
         comparisons
             .iter()
-            .find(|c| c.label == l)
+            .find(|c| c.policy == l)
             .map(|c| c.throughput_under_slo_rps)
             .expect("policy present")
     };

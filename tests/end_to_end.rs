@@ -3,36 +3,46 @@
 //! the paper's claims and the theoretical queueing models.
 
 use rpcvalet_repro::dist::{ServiceDist, SyntheticKind};
+use rpcvalet_repro::harness::{
+    default_threads, run_matrix, PolicySummary, RateGrid, ScenarioMatrix,
+};
 use rpcvalet_repro::metrics::{throughput_under_slo, SloSpec};
 use rpcvalet_repro::queueing::{QueueingModel, QxU, RunParams};
-use rpcvalet_repro::rpcvalet::{Policy, RateSweepSpec, ServerSim, SystemConfig};
-use rpcvalet_repro::workloads::{compare_policies, scenario_config, Workload};
+use rpcvalet_repro::rpcvalet::{Policy, ServerSim, SystemConfig};
+use rpcvalet_repro::workloads::{scenario_config, Workload};
 
-fn quick_spec(rates: Vec<f64>, seed: u64) -> RateSweepSpec {
-    RateSweepSpec {
-        rates_rps: rates,
-        requests: 50_000,
-        warmup: 5_000,
-        seed,
-    }
+/// One summary per policy, in `policies` order: each swept over `rates`
+/// at 50 000 requests per point.
+fn quick_sweep(
+    workload: Workload,
+    policies: Vec<Policy>,
+    rates: Vec<f64>,
+    seed: u64,
+) -> Vec<PolicySummary> {
+    let matrix = ScenarioMatrix::new("end-to-end", seed)
+        .workloads(vec![workload])
+        .policies(policies)
+        .rates(RateGrid::Shared(rates))
+        .requests(50_000, 5_000);
+    run_matrix(&matrix, default_threads()).0.summaries()
 }
 
 #[test]
 fn herd_policy_ordering_matches_fig7a() {
-    let spec = quick_spec((1..=6).map(|i| i as f64 * 4.8e6).collect(), 1);
-    let comparisons = compare_policies(
+    let comparisons = quick_sweep(
         Workload::Herd,
-        &[
+        vec![
             Policy::hw_static(),
             Policy::hw_partitioned(),
             Policy::hw_single_queue(),
         ],
-        &spec,
+        (1..=6).map(|i| i as f64 * 4.8e6).collect(),
+        1,
     );
     let find = |l: &str| {
         comparisons
             .iter()
-            .find(|c| c.label == l)
+            .find(|c| c.policy == l)
             .map(|c| c.throughput_under_slo_rps)
             .unwrap()
     };
@@ -49,6 +59,37 @@ fn herd_policy_ordering_matches_fig7a() {
     // HERD's S̄ lands near the paper's 550 ns.
     let s = comparisons[0].mean_service_ns;
     assert!((s - 550.0).abs() < 25.0, "HERD S̄ = {s}");
+    for c in &comparisons {
+        let (first, last) = (&c.curve.points[0], &c.curve.points[5]);
+        assert!(
+            last.p99_latency_ns > first.p99_latency_ns,
+            "{}: p99 must grow with load",
+            c.policy
+        );
+    }
+}
+
+#[test]
+fn fixed_synthetic_policy_ordering_matches_fig7c() {
+    // Fig. 7c's headline: 1x16 ≥ 4x4 ≥ 16x1 in throughput under SLO.
+    let t: Vec<f64> = quick_sweep(
+        Workload::Synthetic(SyntheticKind::Fixed),
+        vec![
+            Policy::hw_single_queue(),
+            Policy::hw_partitioned(),
+            Policy::hw_static(),
+        ],
+        vec![2.0e6, 8.0e6, 13.0e6, 16.0e6],
+        1,
+    )
+    .iter()
+    .map(|c| c.throughput_under_slo_rps)
+    .collect();
+    assert!(
+        t[0] >= t[1] * 0.98 && t[1] >= t[2] * 0.98,
+        "SLO throughput ordering violated: {t:?}"
+    );
+    assert!(t[0] > t[2], "1x16 must strictly beat 16x1: {t:?}");
 }
 
 #[test]
@@ -82,11 +123,11 @@ fn masstree_static_violates_slo_at_low_load_but_rpcvalet_meets_it() {
 fn software_baseline_loses_2_to_3x_under_slo() {
     // Fig. 8's headline: hardware 1x16 delivers 2.3-2.7x the software
     // throughput under SLO. Allow a generous band around it.
-    let spec = quick_spec((1..=10).map(|i| i as f64 * 1.95e6).collect(), 3);
-    let comparisons = compare_policies(
+    let comparisons = quick_sweep(
         Workload::Synthetic(SyntheticKind::Exponential),
-        &[Policy::hw_single_queue(), Policy::sw_single_queue()],
-        &spec,
+        vec![Policy::hw_single_queue(), Policy::sw_single_queue()],
+        (1..=10).map(|i| i as f64 * 1.95e6).collect(),
+        3,
     );
     let hw = comparisons[0].throughput_under_slo_rps;
     let sw = comparisons[1].throughput_under_slo_rps;
@@ -198,18 +239,18 @@ fn whole_pipeline_is_deterministic() {
 fn slo_extraction_consistency() {
     // throughput_under_slo of a curve equals the last passing point when
     // the curve never violates.
-    let spec = quick_spec(vec![2.0e6, 4.0e6], 7);
-    let comparisons = compare_policies(
+    let comparisons = quick_sweep(
         Workload::Synthetic(SyntheticKind::Fixed),
-        &[Policy::hw_single_queue()],
-        &spec,
+        vec![Policy::hw_single_queue()],
+        vec![2.0e6, 4.0e6],
+        7,
     );
     let c = &comparisons[0];
     let slo = SloSpec::ten_times_mean(c.mean_service_ns);
     let direct = throughput_under_slo(&c.curve, slo);
     assert!(
         (direct - c.throughput_under_slo_rps).abs() < 1.0,
-        "comparison must use the same SLO extraction"
+        "the summary must use the same SLO extraction"
     );
     // Both operating points are far below saturation: the SLO throughput
     // is the highest measured throughput.
