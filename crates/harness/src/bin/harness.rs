@@ -1,206 +1,321 @@
 //! `harness` — the unified CLI for every experiment in the repo.
 //!
-//! ```text
-//! harness run --scenario fig8 --quick
-//! harness run --scenario ablation_sensitivity --threads 4
-//! harness run --scenario fig2 --part a --out-dir /tmp/reports
-//! harness run --scenario fig8 --requests 20000 --baseline prev_fig8.json
-//! harness run --matrix fig7a --threads 8 --out results.json   # low-level escape hatch
-//! harness run --matrix fig8 --timeseries fig8.series          # windowed telemetry
-//! harness bench --scenario fig8 --check            # gate vs BENCH/fig8.json
-//! harness bench --scenario fig8 --record           # append a trajectory entry
-//! harness trace --capture --matrix live_smoke --out live.trace
-//! harness trace --summarize live.trace             # per-hop latency anatomy
-//! harness trace --diff sim.trace live.trace        # sim vs live divergence
-//! harness trace --replay live.trace --trace-out sim.trace
-//! harness plot --scenario fig8                     # SVG/text charts
-//! harness plot --series fig8.series                # occupancy heatmap, windowed p99
-//! harness watch --scenario live_smoke --quick      # loopback run + live dashboard
-//! harness watch --addr 127.0.0.1:7117              # watch a running valetd
-//! harness list
-//! harness list --json | --names | --readme | --check
-//! ```
+//! Six subcommands — `run`, `bench`, `trace`, `plot`, `watch`, `list` —
+//! and one argument parser for all of them. The synopsis in [`USAGE`] is
+//! the grammar: each form names the flags one mode of a subcommand
+//! requires (bare) and accepts (bracketed), and a command line is valid
+//! when some form requires only flags it gives and accepts every flag it
+//! gives — so a flag the chosen mode would ignore is an error even when
+//! it is set to its default value. [`walk`] steps through the arguments
+//! with [`live::cli::Flags`] (the walker `valetd` and `loadgen` use) and
+//! parses and range-checks every value in one place. `harness --help`
+//! prints [`USAGE`], and the parse tests run its example lines.
 //!
 //! `run --scenario` executes a registry entry ([`harness::catalog`]):
 //! every matrix runs on the worker pool, per-matrix [`SweepReport`]s and
-//! timing sidecars land in `--out-dir` (default: the working directory,
-//! resumable like `--matrix` runs), and the scenario's typed derive step
+//! timing sidecars land in `--out-dir` (default: the working directory;
+//! every run writes them afresh), and the scenario's typed derive step
 //! renders its artifacts — the figure tables on stdout and the
 //! machine-readable files under `target/figures/` (override with
 //! `--figures-dir`), byte-identical to what the legacy figure binaries
 //! wrote.
 //!
 //! `run --matrix` is the low-level path: one predefined matrix, one
-//! report, no derived artifacts (see [`ScenarioMatrix::named`]).
-//!
-//! Shared flags: `--threads <n>` (default: all cores), `--quick` (8×
-//! fewer requests), `--seed <n>`, `--requests <n>`, `--replications
-//! <n>`, `--baseline <path>` + `--tolerance <pct>` (default 5; scenario
-//! runs accept it only for single-matrix scenarios), `--fresh` (ignore
-//! existing reports instead of resuming). Scenario-only: `--part
-//! a|b|c`, `--out-dir <dir>`, `--figures-dir <dir>`. Matrix-only: `--out
-//! <path>`, `--trace <n>`, and `--timeseries <path>` (+
-//! `--series-window-us <n>`, default 100) — a windowed-telemetry
+//! report, no derived artifacts (see [`ScenarioMatrix::named`]); `--trace
+//! <n>` adds per-request traces to the report, and `--timeseries <path>`
+//! (+ `--series-window-us <n>`, default 100) writes a windowed-telemetry
 //! capture alongside the byte-identical report.
+//!
+//! Gating a run against an earlier one is `bench`'s job: `--record`
+//! appends a trajectory entry to a store, and `--check` replays the
+//! latest entry's parameters and compares the fresh run with it.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use harness::{
-    default_threads, diff_reports, run_matrix_resumed, Scenario, ScenarioMatrix, ScenarioParams,
-    ScenarioRun, SweepReport, SweepTiming, TrajectoryStore,
+    default_threads, Artifacts, Scenario, ScenarioMatrix, ScenarioParams, ScenarioRun, SweepReport,
+    SweepTiming, TrajectoryStore,
 };
+use live::cli::Flags;
 
-#[derive(Debug)]
-struct RunArgs {
+/// The `--help` text, whose synopsis is the parser's grammar (see
+/// [`forms`]). Every line under `examples:` is a whole command line that
+/// the parse tests run.
+const USAGE: &str = "\
+usage:
+  harness run --scenario <name> [--quick] [--part a|b|c] [--threads n] [--seed n]
+      [--requests n] [--replications n] [--out-dir dir] [--figures-dir dir]
+  harness run --matrix <name> [--out file.json] [--trace n] [--threads n] [--quick]
+      [--seed n] [--requests n] [--replications n]
+  harness run --matrix <name> --timeseries store.series [--series-window-us n]
+      [--out file.json] [--trace n] [--threads n] [--quick] [--seed n]
+      [--requests n] [--replications n]
+  harness bench --scenario <name> --record [--store file.json] [--threads n]
+      [--quick] [--requests n] [--commit id]
+  harness bench --scenario <name> --check [--tolerance pct] [--store file.json]
+      [--threads n] [--commit id]
+  harness trace --capture --matrix <name> --out store.trace [--events n]
+      [--report file.json] [--threads n] [--quick] [--seed n] [--requests n]
+  harness trace --summarize store.trace
+  harness trace --diff a.trace b.trace
+  harness trace --replay store.trace [--policy single|partitioned|static]
+      [--trace-out replay.trace]
+  harness plot --scenario <name> [--out-dir dir] [--figures-dir dir] [--store file.json]
+  harness plot --series store.series [--figures-dir dir]
+  harness watch --scenario <name> [--window-ms n] [--quick] [--requests n]
+      [--frames n] [--refresh-ms n] [--clear]
+  harness watch --addr host:port [--frames n] [--refresh-ms n] [--clear]
+  harness list
+  harness list --json
+  harness list --names
+  harness list --readme
+  harness list --check
+
+examples:
+  harness run --scenario fig8 --quick
+  harness run --scenario fig2 --part a --threads 4 --out-dir /tmp/reports
+  harness run --matrix fig7a --threads 8 --out results.json    # low-level escape hatch
+  harness run --matrix fig8 --timeseries fig8.series           # windowed telemetry
+  harness bench --scenario fig8 --check                        # gate vs BENCH/fig8.json
+  harness bench --scenario fig8 --requests 20000 --record --store old.json   # old tree
+  harness bench --scenario fig8 --check --store old.json --tolerance 1       # new tree
+  harness trace --capture --matrix live_smoke --out live.trace
+  harness trace --summarize live.trace                         # per-hop latency anatomy
+  harness trace --diff sim.trace live.trace                    # sim vs live divergence
+  harness trace --replay live.trace --trace-out sim.trace
+  harness plot --scenario fig8                                 # SVG/text charts
+  harness plot --series fig8.series                            # heatmap, windowed p99
+  harness watch --scenario live_smoke --quick                  # loopback run + dashboard
+  harness watch --addr 127.0.0.1:7117                          # watch a running valetd
+  harness list --readme                                        # the README catalog table
+";
+
+/// Every flag value any subcommand takes, as [`walk`] parsed it;
+/// `None` / `false` means the flag was not given, so defaults apply
+/// only where a value is used.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
     scenario: Option<String>,
     matrix: Option<String>,
-    threads: usize,
-    out: Option<String>,
-    out_dir: Option<String>,
-    figures_dir: Option<String>,
-    part: Option<String>,
+    threads: Option<usize>,
     quick: bool,
     seed: Option<u64>,
     requests: Option<u64>,
     replications: Option<usize>,
-    baseline: Option<String>,
-    tolerance_pct: f64,
-    fresh: bool,
+    out: Option<String>,
+    out_dir: Option<String>,
+    figures_dir: Option<String>,
+    part: Option<String>,
     trace: Option<usize>,
     timeseries: Option<String>,
-    series_window_us: u64,
+    series_window_us: Option<u64>,
+    record: bool,
+    check: bool,
+    store: Option<String>,
+    tolerance_pct: Option<f64>,
+    commit: Option<String>,
+    capture: bool,
+    report: Option<String>,
+    events: Option<usize>,
+    summarize: Option<String>,
+    diff: Option<(String, String)>,
+    replay: Option<String>,
+    policy: Option<String>,
+    trace_out: Option<String>,
+    series: Option<String>,
+    addr: Option<String>,
+    frames: Option<u64>,
+    refresh_ms: Option<u64>,
+    window_ms: Option<u64>,
+    clear: bool,
+    json: bool,
+    names: bool,
+    readme: bool,
 }
 
-fn parse_run_args(mut it: std::env::Args) -> Result<RunArgs, String> {
-    let mut args = RunArgs {
-        scenario: None,
-        matrix: None,
-        threads: default_threads(),
-        out: None,
-        out_dir: None,
-        figures_dir: None,
-        part: None,
-        quick: false,
-        seed: None,
-        requests: None,
-        replications: None,
-        baseline: None,
-        tolerance_pct: 5.0,
-        fresh: false,
-        trace: None,
-        timeseries: None,
-        series_window_us: 100,
+/// One synopsis form of [`USAGE`]: a mode of a subcommand, the flags it
+/// requires (written bare) and the flags it also accepts (bracketed).
+struct Form {
+    cmd: &'static str,
+    required: Vec<&'static str>,
+    optional: Vec<&'static str>,
+}
+
+impl Form {
+    fn flags(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.required.iter().chain(&self.optional).copied()
+    }
+
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags().any(|f| f == flag)
+    }
+
+    /// The mode as it reads on a command line, e.g. `run --matrix`.
+    fn mode(&self) -> String {
+        let mut mode = vec![self.cmd];
+        mode.extend(&self.required);
+        mode.join(" ")
+    }
+}
+
+/// The synopsis forms of subcommand `cmd`, in [`USAGE`] order.
+fn forms(cmd: &str) -> Vec<Form> {
+    let synopsis = USAGE
+        .split("examples:")
+        .next()
+        .expect("usage has a synopsis");
+    let mut forms: Vec<Form> = Vec::new();
+    for line in synopsis.lines() {
+        let mut words = line.split_whitespace().peekable();
+        if words.next_if_eq(&"harness").is_some() {
+            let cmd = words.next().expect("a synopsis line names its subcommand");
+            forms.push(Form {
+                cmd,
+                required: Vec::new(),
+                optional: Vec::new(),
+            });
+        }
+        // Lines without `harness` continue the form above them.
+        let Some(form) = forms.last_mut() else {
+            continue;
+        };
+        for word in words {
+            match word.strip_prefix('[') {
+                Some(flag) if flag.starts_with("--") => {
+                    form.optional.push(flag.trim_end_matches(']'));
+                }
+                None if word.starts_with("--") => form.required.push(word),
+                _ => {}
+            }
+        }
+    }
+    forms.retain(|form| form.cmd == cmd);
+    forms
+}
+
+/// A subcommand's body; `Ok(false)` means a gate or check failed.
+type Body = fn(&Args) -> Result<bool, String>;
+
+/// Parses a command line (program name already skipped) into the
+/// subcommand's body and its checked flags; `Ok(None)` asks for
+/// [`USAGE`].
+fn parse(mut flags: Flags) -> Result<Option<(Body, Args)>, String> {
+    let cmd = match flags.next_flag() {
+        None => return Ok(None),
+        Some(cmd) if cmd == "--help" || cmd == "-h" => return Ok(None),
+        Some(cmd) => cmd,
     };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--scenario" => args.scenario = Some(value("--scenario")?),
-            "--matrix" => args.matrix = Some(value("--matrix")?),
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--out-dir" => args.out_dir = Some(value("--out-dir")?),
-            "--figures-dir" => args.figures_dir = Some(value("--figures-dir")?),
-            "--part" => args.part = Some(value("--part")?),
-            "--quick" => args.quick = true,
-            "--fresh" => args.fresh = true,
-            "--seed" => {
-                args.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("bad seed: {e}"))?,
-                );
-            }
-            "--requests" => {
-                let requests: u64 = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("bad requests: {e}"))?;
-                if requests == 0 {
-                    return Err("--requests must be at least 1".to_owned());
-                }
-                args.requests = Some(requests);
-            }
-            "--replications" => {
-                let replications: usize = value("--replications")?
-                    .parse()
-                    .map_err(|e| format!("bad replications: {e}"))?;
-                if replications == 0 {
-                    return Err("--replications must be at least 1".to_owned());
-                }
-                args.replications = Some(replications);
-            }
-            "--baseline" => args.baseline = Some(value("--baseline")?),
-            "--trace" => {
-                args.trace = Some(
-                    value("--trace")?
-                        .parse()
-                        .map_err(|e| format!("bad trace capacity: {e}"))?,
-                );
-            }
+    let body: Body = match cmd.as_str() {
+        "run" => cmd_run,
+        "bench" => cmd_bench,
+        "trace" => cmd_trace,
+        "plot" => cmd_plot,
+        "watch" => cmd_watch,
+        "list" => cmd_list,
+        _ => return Err(format!("unknown command `{cmd}` (try --help)")),
+    };
+    let forms = forms(&cmd);
+    let (args, given) = walk(&cmd, &forms, flags)?;
+    check(&cmd, &forms, &given)?;
+    Ok(Some((body, args)))
+}
+
+/// The one flag walker: takes only flags some form of `cmd` names, and
+/// parses and range-checks each value here, once for every subcommand.
+/// Also returns the names of the flags given, in order.
+fn walk(cmd: &str, forms: &[Form], mut flags: Flags) -> Result<(Args, Vec<&'static str>), String> {
+    let mut a = Args::default();
+    let mut given = Vec::new();
+    while let Some(flag) = flags.next_flag() {
+        let f = forms
+            .iter()
+            .flat_map(Form::flags)
+            .find(|name| *name == flag)
+            .ok_or_else(|| format!("unknown flag `{flag}` for {cmd}"))?;
+        given.push(f);
+        match f {
+            "--scenario" => a.scenario = Some(flags.value(f)?),
+            "--matrix" => a.matrix = Some(flags.value(f)?),
+            "--threads" => a.threads = Some(flags.parse(f)?),
+            "--quick" => a.quick = true,
+            "--seed" => a.seed = Some(flags.parse(f)?),
+            "--requests" => a.requests = Some(flags.parse_positive(f)?),
+            "--replications" => a.replications = Some(flags.parse_positive(f)? as usize),
+            "--out" => a.out = Some(flags.value(f)?),
+            "--out-dir" => a.out_dir = Some(flags.value(f)?),
+            "--figures-dir" => a.figures_dir = Some(flags.value(f)?),
+            "--part" => a.part = Some(flags.value(f)?),
+            "--trace" => a.trace = Some(flags.parse(f)?),
+            "--timeseries" => a.timeseries = Some(flags.value(f)?),
+            "--series-window-us" => a.series_window_us = Some(flags.parse_positive(f)?),
+            "--record" => a.record = true,
+            "--check" => a.check = true,
+            "--store" => a.store = Some(flags.value(f)?),
             "--tolerance" => {
-                args.tolerance_pct = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad tolerance: {e}"))?;
-                if args.tolerance_pct < 0.0 {
+                let pct: f64 = flags.parse(f)?;
+                if pct < 0.0 {
                     return Err("--tolerance must be non-negative".to_owned());
                 }
+                a.tolerance_pct = Some(pct);
             }
-            "--timeseries" => args.timeseries = Some(value("--timeseries")?),
-            "--series-window-us" => {
-                args.series_window_us = value("--series-window-us")?
-                    .parse()
-                    .map_err(|e| format!("bad window length: {e}"))?;
-                if args.series_window_us == 0 {
-                    return Err("--series-window-us must be at least 1".to_owned());
-                }
+            "--commit" => a.commit = Some(flags.value(f)?),
+            "--capture" => a.capture = true,
+            "--report" => a.report = Some(flags.value(f)?),
+            "--events" => a.events = Some(flags.parse_positive(f)? as usize),
+            "--summarize" => a.summarize = Some(flags.value(f)?),
+            "--diff" => {
+                let first = flags.value("--diff (first store)")?;
+                a.diff = Some((first, flags.value("--diff (second store)")?));
             }
-            other => return Err(format!("unknown flag `{other}` for run")),
+            "--replay" => a.replay = Some(flags.value(f)?),
+            "--policy" => a.policy = Some(flags.value(f)?),
+            "--trace-out" => a.trace_out = Some(flags.value(f)?),
+            "--series" => a.series = Some(flags.value(f)?),
+            "--addr" => a.addr = Some(flags.value(f)?),
+            "--frames" => a.frames = Some(flags.parse_positive(f)?),
+            "--refresh-ms" => a.refresh_ms = Some(flags.parse_positive(f)?),
+            "--window-ms" => a.window_ms = Some(flags.parse_positive(f)?),
+            "--clear" => a.clear = true,
+            "--json" => a.json = true,
+            "--names" => a.names = true,
+            "--readme" => a.readme = true,
+            _ => unreachable!("`{f}` is in the usage synopsis but walk has no arm for it"),
         }
     }
-    match (&args.scenario, &args.matrix) {
-        (None, None) => {
-            return Err(
-                "run needs --scenario <name> (see `harness list`) or --matrix <name>".to_owned(),
-            )
-        }
-        (Some(_), Some(_)) => {
-            return Err("--scenario and --matrix are mutually exclusive".to_owned())
-        }
-        _ => {}
+    Ok((a, given))
+}
+
+/// Accepts the `given` flags when some form requires only given flags
+/// and accepts every given one. Otherwise names the first flag that the
+/// most specific form whose requirements were met would ignore — or,
+/// when no form's were, the modes `cmd` has.
+fn check(cmd: &str, forms: &[Form], given: &[&str]) -> Result<(), String> {
+    let mut met: Vec<&Form> = forms
+        .iter()
+        .filter(|form| form.required.iter().all(|flag| given.contains(flag)))
+        .collect();
+    if met.iter().any(|form| given.iter().all(|g| form.accepts(g))) {
+        return Ok(());
     }
-    // Reject flags that the selected mode would silently ignore.
-    if args.scenario.is_some() && args.out.is_some() {
-        return Err("--out applies to --matrix runs; scenario reports go to --out-dir".to_owned());
-    }
-    if args.scenario.is_some() && args.trace.is_some() {
-        return Err(
-            "--trace applies to --matrix runs (scenario matrices bake their own trace \
-             capacities, e.g. latency_breakdown)"
-                .to_owned(),
-        );
-    }
-    if args.scenario.is_some() && args.timeseries.is_some() {
-        return Err("--timeseries applies to --matrix runs".to_owned());
-    }
-    if args.timeseries.is_none() && args.series_window_us != 100 {
-        return Err("--series-window-us applies with --timeseries".to_owned());
-    }
-    if args.matrix.is_some() {
-        for (set, flag) in [
-            (args.out_dir.is_some(), "--out-dir"),
-            (args.figures_dir.is_some(), "--figures-dir"),
-            (args.part.is_some(), "--part"),
-        ] {
-            if set {
-                return Err(format!("{flag} applies to --scenario runs, not --matrix"));
-            }
-        }
-    }
-    Ok(args)
+    met.sort_by_key(|form| std::cmp::Reverse(form.required.len()));
+    let Some(closest) = met.first() else {
+        let modes: Vec<String> = forms.iter().map(Form::mode).collect();
+        return Err(format!("{cmd} needs one of: {}", modes.join(" | ")));
+    };
+    let extra = given
+        .iter()
+        .find(|g| !closest.accepts(g))
+        .expect("the closest form ignores a given flag");
+    let home = forms
+        .iter()
+        .find(|form| form.accepts(extra))
+        .expect("walk took only flags some form names");
+    Err(format!(
+        "{extra} does not apply to `{}` (it goes with `{}`)",
+        closest.mode(),
+        home.mode()
+    ))
 }
 
 /// A catalog row for `list --json` (and the README's experiment
@@ -214,55 +329,33 @@ struct CatalogRow {
     quick_runtime: &'static str,
 }
 
-/// `harness list` output mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ListMode {
-    /// Human-readable catalog + matrix list.
-    Table,
-    /// Machine-readable catalog rows.
-    Json,
-    /// One scenario name per line (CI loops over this).
-    Names,
-    /// The README "Experiment catalog" markdown table.
-    Readme,
-    /// Registry health check: non-zero exit when a required scenario is
-    /// missing or a name is duplicated.
-    Check,
-}
-
-fn cmd_list(mode: ListMode) -> bool {
-    match mode {
-        ListMode::Names => {
-            for s in harness::catalog() {
-                println!("{}", s.name);
-            }
-            return true;
+/// `harness list`: the catalog as a table (default), JSON rows, bare
+/// names (CI loops over them), the README table, or a registry health
+/// check that fails when a required scenario is missing or a name is
+/// duplicated.
+fn cmd_list(a: &Args) -> Result<bool, String> {
+    if a.names {
+        for s in harness::catalog() {
+            println!("{}", s.name);
         }
-        ListMode::Readme => {
-            print!("{}", harness::readme_catalog_table());
-            return true;
+    } else if a.readme {
+        print!("{}", harness::readme_catalog_table());
+    } else if a.check {
+        let problems = harness::registry_problems();
+        for problem in &problems {
+            eprintln!("registry problem: {problem}");
         }
-        ListMode::Check => {
-            let problems = harness::registry_problems();
-            if problems.is_empty() {
-                let names: Vec<&str> = harness::catalog().iter().map(|s| s.name).collect();
-                println!(
-                    "registry OK: {} scenarios cover all {} required ({})",
-                    names.len(),
-                    harness::REQUIRED_SCENARIOS.len(),
-                    names.join(", ")
-                );
-                return true;
-            }
-            for problem in &problems {
-                eprintln!("registry problem: {problem}");
-            }
-            return false;
+        if !problems.is_empty() {
+            return Ok(false);
         }
-        ListMode::Table | ListMode::Json => {}
-    }
-    let json = mode == ListMode::Json;
-    if json {
+        let names: Vec<&str> = harness::catalog().iter().map(|s| s.name).collect();
+        println!(
+            "registry OK: {} scenarios cover all {} required ({})",
+            names.len(),
+            harness::REQUIRED_SCENARIOS.len(),
+            names.join(", ")
+        );
+    } else if a.json {
         let rows: Vec<CatalogRow> = harness::catalog()
             .iter()
             .map(|s| CatalogRow {
@@ -277,27 +370,27 @@ fn cmd_list(mode: ListMode) -> bool {
             "{}",
             serde_json::to_string_pretty(&rows).expect("catalog serializes")
         );
-        return true;
+    } else {
+        println!("scenarios (run with `harness run --scenario <name>`):");
+        for s in harness::catalog() {
+            println!(
+                "  {:<22} {:<9} {:<10} quick {:<6} {}",
+                s.name, s.kind, s.paper, s.quick_runtime, s.summary
+            );
+        }
+        println!("\nlow-level matrices (run with `harness run --matrix <name>`):");
+        for name in ScenarioMatrix::known_names() {
+            let m = ScenarioMatrix::named(name).expect("known name resolves");
+            println!(
+                "  {:<22} {:>4} jobs x {} requests (seed {})",
+                name,
+                m.jobs().len(),
+                m.requests,
+                m.master_seed
+            );
+        }
     }
-    println!("scenarios (run with `harness run --scenario <name>`):");
-    for s in harness::catalog() {
-        println!(
-            "  {:<22} {:<9} {:<10} quick {:<6} {}",
-            s.name, s.kind, s.paper, s.quick_runtime, s.summary
-        );
-    }
-    println!("\nlow-level matrices (run with `harness run --matrix <name>`):");
-    for name in ScenarioMatrix::known_names() {
-        let m = ScenarioMatrix::named(name).expect("known name resolves");
-        println!(
-            "  {:<22} {:>4} jobs x {} requests (seed {})",
-            name,
-            m.jobs().len(),
-            m.requests,
-            m.master_seed
-        );
-    }
-    true
+    Ok(true)
 }
 
 fn print_summaries(report: &SweepReport) {
@@ -344,86 +437,83 @@ fn print_summaries(report: &SweepReport) {
     }
 }
 
-fn read_report(path: &str, what: &str) -> Result<SweepReport, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {what} {path}: {e}"))?;
-    SweepReport::from_json(&text).map_err(|e| {
-        format!(
-            "parse {what} {path}: {e} (pre-v{} reports cannot be read by this binary; \
-             re-run the matrix to regenerate the file — job seeds are stable, so the \
-             regenerated measurements are bit-identical)",
-            harness::REPORT_VERSION
-        )
+/// The registry entry called `name`.
+fn scenario_named(name: &str) -> Result<&'static Scenario, String> {
+    harness::find_scenario(name).ok_or_else(|| {
+        let known: Vec<&str> = harness::catalog().iter().map(|s| s.name).collect();
+        format!("unknown scenario `{name}` (known: {})", known.join(", "))
     })
 }
 
-/// Runs one matrix with resume-from-`out_path` semantics (shared by the
-/// scenario and matrix paths), writing the report and timing sidecar.
-fn run_one_matrix(
-    matrix: &ScenarioMatrix,
-    threads: usize,
-    out_path: &Path,
-    fresh: bool,
-) -> Result<(SweepReport, SweepTiming), String> {
-    let out = out_path.display().to_string();
-    let existing = if !fresh && out_path.exists() {
-        Some(read_report(&out, "existing report").map_err(|e| {
-            format!("{e} (older report formats cannot seed a resume; use --fresh to discard)")
-        })?)
-    } else {
-        None
-    };
-    let jobs = matrix.jobs().len();
-    let (report, timing) = match existing {
-        Some(existing) => {
-            let (report, timing, reused) = run_matrix_resumed(matrix, threads, &existing)
-                .map_err(|e| format!("cannot resume from {out}: {e} (use --fresh to discard)"))?;
-            println!("[resumed: {reused}/{jobs} jobs reused from {out}]");
-            (report, timing)
-        }
-        None => harness::run_matrix(matrix, threads),
-    };
-    std::fs::write(out_path, report.to_json_pretty()).map_err(|e| format!("write {out}: {e}"))?;
-    let timing_path = format!("{out}.timing.json");
-    let timing_json =
-        serde_json::to_string_pretty(&timing).map_err(|e| format!("timing serializes: {e}"))?;
-    std::fs::write(&timing_path, timing_json)
-        .map_err(|e| format!("write {timing_path}: {e}"))?;
-    Ok((report, timing))
-}
-
-/// Diffs a fresh report against a stored baseline; returns whether the
-/// diff is clean.
-fn check_baseline(
-    baseline_path: &str,
-    baseline: &SweepReport,
-    report: &SweepReport,
-    tolerance_pct: f64,
-) -> bool {
-    let diff = diff_reports(baseline, report, tolerance_pct);
-    println!(
-        "\nbaseline {}: {} groups, {} load points compared at {:.1}% tolerance",
-        baseline_path, diff.groups_compared, diff.points_compared, tolerance_pct
-    );
-    if diff.clean() {
-        println!("  no regressions");
-        true
-    } else {
-        for regression in &diff.regressions {
-            println!("  REGRESSION {}", regression.describe());
-        }
-        false
+/// The scenario run shape the flags ask for.
+fn scenario_params(a: &Args) -> ScenarioParams {
+    ScenarioParams {
+        quick: a.quick,
+        part: a.part.clone(),
+        requests: a.requests,
+        seed: a.seed,
+        replications: a.replications,
     }
 }
 
-fn cmd_run_scenario(scenario: &Scenario, args: &RunArgs) -> Result<bool, String> {
-    let params = ScenarioParams {
-        quick: args.quick,
-        part: args.part.clone(),
-        requests: args.requests,
-        seed: args.seed,
-        replications: args.replications,
+/// The predefined matrix called `name`, with the run-shape flags
+/// applied the way a scenario applies them to its own matrices.
+fn named_matrix(name: &str, a: &Args) -> Result<ScenarioMatrix, String> {
+    let mut matrix = ScenarioMatrix::named(name).ok_or_else(|| {
+        format!(
+            "unknown matrix `{name}` (known: {})",
+            ScenarioMatrix::known_names().join(", ")
+        )
+    })?;
+    if a.quick {
+        matrix = matrix.quick();
+    }
+    if let Some(seed) = a.seed {
+        matrix.master_seed = seed;
+    }
+    if let Some(requests) = a.requests {
+        matrix = matrix.requests(requests, requests / 10);
+    }
+    if let Some(replications) = a.replications {
+        matrix = matrix.replications(replications);
+    }
+    Ok(matrix)
+}
+
+/// Writes a report and its `<out>.timing.json` wall-clock sidecar.
+fn write_report(out: &Path, report: &SweepReport, timing: &SweepTiming) -> Result<(), String> {
+    let out = out.display().to_string();
+    std::fs::write(&out, report.to_json_pretty()).map_err(|e| format!("write {out}: {e}"))?;
+    let timing_path = format!("{out}.timing.json");
+    let timing_json =
+        serde_json::to_string_pretty(timing).map_err(|e| format!("timing serializes: {e}"))?;
+    std::fs::write(&timing_path, timing_json).map_err(|e| format!("write {timing_path}: {e}"))
+}
+
+/// Prints artifacts and writes them under `figures_dir` (default:
+/// `target/figures`).
+fn emit(artifacts: &Artifacts, figures_dir: Option<&str>) -> Result<(), String> {
+    artifacts.print();
+    let dir = figures_dir
+        .map(PathBuf::from)
+        .unwrap_or_else(harness::figures_dir);
+    let written = artifacts
+        .write_all(&dir)
+        .map_err(|e| format!("write artifacts to {}: {e}", dir.display()))?;
+    for path in &written {
+        println!("[wrote {}]", path.display());
+    }
+    Ok(())
+}
+
+fn cmd_run(a: &Args) -> Result<bool, String> {
+    let threads = a.threads.unwrap_or_else(default_threads);
+    let Some(name) = &a.scenario else {
+        let name = a.matrix.as_deref().expect("the synopsis requires it");
+        return cmd_run_matrix(named_matrix(name, a)?, threads, a);
     };
+    let scenario = scenario_named(name)?;
+    let params = scenario_params(a);
     harness::validate_part(scenario, &params)?;
     let matrices = harness::build_matrices(scenario, &params);
     if matrices.is_empty() && scenario.kind != "derived" {
@@ -440,20 +530,7 @@ fn cmd_run_scenario(scenario: &Scenario, args: &RunArgs) -> Result<bool, String>
         scenario.kind
     );
 
-    // Load the baseline before the (potentially long) sweep so a bad
-    // path or stale-format file fails in milliseconds, not afterwards.
-    let baseline = match (&args.baseline, matrices.len()) {
-        (Some(_), n) if n != 1 => {
-            return Err(format!(
-                "--baseline needs a single-matrix scenario ({} has {n}); diff per matrix with --matrix",
-                scenario.name
-            ))
-        }
-        (Some(path), _) => Some((path.clone(), read_report(path, "baseline")?)),
-        (None, _) => None,
-    };
-
-    let out_dir = PathBuf::from(args.out_dir.as_deref().unwrap_or("."));
+    let out_dir = PathBuf::from(a.out_dir.as_deref().unwrap_or("."));
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
     let mut reports = Vec::with_capacity(matrices.len());
     let mut timings = Vec::with_capacity(matrices.len());
@@ -465,8 +542,12 @@ fn cmd_run_scenario(scenario: &Scenario, args: &RunArgs) -> Result<bool, String>
             matrix.requests,
             matrix.master_seed
         );
-        let out_path = out_dir.join(format!("{}.json", matrix.name));
-        let (report, timing) = run_one_matrix(matrix, args.threads, &out_path, args.fresh)?;
+        let (report, timing) = harness::run_matrix(matrix, threads);
+        write_report(
+            &out_dir.join(format!("{}.json", matrix.name)),
+            &report,
+            &timing,
+        )?;
         println!("  {}", timing.summary_line());
         reports.push(report);
         timings.push(timing);
@@ -477,49 +558,12 @@ fn cmd_run_scenario(scenario: &Scenario, args: &RunArgs) -> Result<bool, String>
         reports,
         timings,
     };
-    let artifacts = (scenario.derive)(&run);
-    artifacts.print();
-
-    let figures_dir = args
-        .figures_dir
-        .as_ref()
-        .map(PathBuf::from)
-        .unwrap_or_else(harness::figures_dir);
-    let written = artifacts
-        .write_all(&figures_dir)
-        .map_err(|e| format!("write artifacts to {}: {e}", figures_dir.display()))?;
-    for path in &written {
-        println!("[wrote {}]", path.display());
-    }
-
-    let mut clean = true;
-    if let Some((baseline_path, baseline)) = &baseline {
-        clean = check_baseline(baseline_path, baseline, &run.reports[0], args.tolerance_pct);
-    }
-    Ok(clean)
+    emit(&(scenario.derive)(&run), a.figures_dir.as_deref())?;
+    Ok(true)
 }
 
-fn cmd_run_matrix(name: &str, args: &RunArgs) -> Result<bool, String> {
-    let mut matrix = ScenarioMatrix::named(name).ok_or_else(|| {
-        format!(
-            "unknown matrix `{name}` (known: {})",
-            ScenarioMatrix::known_names().join(", ")
-        )
-    })?;
-    if args.quick {
-        matrix = matrix.quick();
-    }
-    if let Some(seed) = args.seed {
-        matrix.master_seed = seed;
-    }
-    if let Some(requests) = args.requests {
-        matrix.requests = requests;
-        matrix.warmup = requests / 10;
-    }
-    if let Some(replications) = args.replications {
-        matrix = matrix.replications(replications);
-    }
-    if let Some(capacity) = args.trace {
+fn cmd_run_matrix(mut matrix: ScenarioMatrix, threads: usize, a: &Args) -> Result<bool, String> {
+    if let Some(capacity) = a.trace {
         // Per-request timeline traces for the first `capacity` measured
         // requests of every sim job (fills the report's breakdown
         // column). Traced sim runs keep monotone message ids — no slab
@@ -527,185 +571,71 @@ fn cmd_run_matrix(name: &str, args: &RunArgs) -> Result<bool, String> {
         // `--requests`; see `rpcvalet::SystemConfig::trace_capacity`.
         matrix = matrix.trace(capacity);
     }
-    let jobs = matrix.jobs().len();
-    // Live matrices serialize onto one worker (concurrent loopback
-    // servers would contend for the machine); run_matrix re-derives the
-    // same clamp internally.
-    let threads =
-        harness::effective_threads(harness::threads_for_jobs(&matrix.jobs(), args.threads), jobs);
     println!(
-        "matrix {}: {} jobs x {} requests on {} threads (seed {})",
-        matrix.name, jobs, matrix.requests, threads, matrix.master_seed
+        "matrix {}: {} jobs x {} requests (seed {})",
+        matrix.name,
+        matrix.jobs().len(),
+        matrix.requests,
+        matrix.master_seed
     );
-
-    let baseline = args
-        .baseline
-        .as_ref()
-        .map(|path| read_report(path, "baseline").map(|report| (path.clone(), report)))
-        .transpose()?;
-
-    let out = args
+    let out = a
         .out
         .clone()
         .unwrap_or_else(|| format!("{}.json", matrix.name));
-    let (report, timing) = if let Some(series_path) = &args.timeseries {
-        // Series capture is always a fresh full run (a resumed job has
-        // no windows to contribute); the report it also writes is
-        // byte-identical to an unwindowed run's.
-        let interval_ps = args.series_window_us * 1_000_000;
-        let (report, timing, series) =
-            harness::run_matrix_series(&matrix, args.threads, interval_ps);
-        std::fs::write(&out, report.to_json_pretty()).map_err(|e| format!("write {out}: {e}"))?;
-        let timing_path = format!("{out}.timing.json");
-        let timing_json = serde_json::to_string_pretty(&timing)
-            .map_err(|e| format!("timing serializes: {e}"))?;
-        std::fs::write(&timing_path, timing_json)
-            .map_err(|e| format!("write {timing_path}: {e}"))?;
-        let live = matrix.jobs().iter().any(|j| j.kind() == harness::JobKind::Live);
-        let meta = if live {
-            telemetry::SeriesMeta::live(&matrix.name, interval_ps, series.len() as u64)
-        } else {
-            telemetry::SeriesMeta::sim(&matrix.name, interval_ps, series.len() as u64)
-        };
-        let digest = telemetry::write_series_store(Path::new(series_path), &meta, &series)
-            .map_err(|e| format!("write {series_path}: {e}"))?;
-        println!(
-            "[wrote {series_path} ({} job series at {} us/window, digest {digest})]",
-            series.len(),
-            args.series_window_us
-        );
-        (report, timing)
-    } else {
-        run_one_matrix(&matrix, args.threads, Path::new(&out), args.fresh)?
+    let (report, timing) = match &a.timeseries {
+        None => harness::run_matrix(&matrix, threads),
+        Some(series_path) => {
+            // The report a windowed run writes is byte-identical to an
+            // unwindowed run's.
+            let window_us = a.series_window_us.unwrap_or(100);
+            let interval_ps = window_us * 1_000_000;
+            let (report, timing, observed) =
+                harness::run_matrix_observed(&matrix, threads, 0, interval_ps);
+            let jobs = observed.series.len() as u64;
+            let live = matrix
+                .jobs()
+                .iter()
+                .any(|j| j.kind() == harness::JobKind::Live);
+            let meta = if live {
+                telemetry::SeriesMeta::live(&matrix.name, interval_ps, jobs)
+            } else {
+                telemetry::SeriesMeta::sim(&matrix.name, interval_ps, jobs)
+            };
+            let digest =
+                telemetry::write_series_store(Path::new(series_path), &meta, &observed.series)
+                    .map_err(|e| format!("write {series_path}: {e}"))?;
+            println!(
+                "[wrote {series_path} ({jobs} job series at {window_us} us/window, digest \
+                 {digest})]"
+            );
+            (report, timing)
+        }
     };
+    write_report(Path::new(&out), &report, &timing)?;
     print_summaries(&report);
     println!("\n  {}", timing.summary_line());
     println!("\n[wrote {out}]");
     println!("[wrote {out}.timing.json]");
-
-    let mut clean = true;
-    if let Some((baseline_path, baseline)) = &baseline {
-        clean = check_baseline(baseline_path, baseline, &report, args.tolerance_pct);
-    }
-    Ok(clean)
-}
-
-fn cmd_run(it: std::env::Args) -> Result<bool, String> {
-    let args = parse_run_args(it)?;
-    if let Some(name) = &args.scenario {
-        let scenario = harness::find_scenario(name).ok_or_else(|| {
-            format!(
-                "unknown scenario `{name}` (known: {})",
-                harness::catalog()
-                    .iter()
-                    .map(|s| s.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })?;
-        cmd_run_scenario(scenario, &args)
-    } else {
-        let name = args.matrix.clone().expect("checked by parse_run_args");
-        cmd_run_matrix(&name, &args)
-    }
-}
-
-#[derive(Debug, Default)]
-struct BenchArgs {
-    scenario: Option<String>,
-    record: bool,
-    check: bool,
-    store: Option<String>,
-    tolerance_pct: Option<f64>,
-    threads: Option<usize>,
-    commit: Option<String>,
-    quick: bool,
-    requests: Option<u64>,
-}
-
-fn parse_bench_args(mut it: std::env::Args) -> Result<BenchArgs, String> {
-    let mut args = BenchArgs::default();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--scenario" => args.scenario = Some(value("--scenario")?),
-            "--record" => args.record = true,
-            "--check" => args.check = true,
-            "--store" => args.store = Some(value("--store")?),
-            "--commit" => args.commit = Some(value("--commit")?),
-            "--quick" => args.quick = true,
-            "--tolerance" => {
-                let pct: f64 = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad tolerance: {e}"))?;
-                if pct < 0.0 {
-                    return Err("--tolerance must be non-negative".to_owned());
-                }
-                args.tolerance_pct = Some(pct);
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("bad thread count: {e}"))?,
-                );
-            }
-            "--requests" => {
-                let requests: u64 = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("bad requests: {e}"))?;
-                if requests == 0 {
-                    return Err("--requests must be at least 1".to_owned());
-                }
-                args.requests = Some(requests);
-            }
-            other => return Err(format!("unknown flag `{other}` for bench")),
-        }
-    }
-    if args.scenario.is_none() {
-        return Err("bench needs --scenario <name>".to_owned());
-    }
-    if args.record == args.check {
-        return Err("bench needs exactly one of --record | --check".to_owned());
-    }
-    // --check replays the recorded entry's exact parameters; run-shape
-    // flags would be silently ignored, so reject them loudly.
-    if args.check {
-        for (set, flag) in [
-            (args.quick, "--quick"),
-            (args.requests.is_some(), "--requests"),
-        ] {
-            if set {
-                return Err(format!(
-                    "{flag} applies to --record (a --check replays the recorded entry's \
-                     parameters)"
-                ));
-            }
-        }
-    }
-    Ok(args)
+    Ok(true)
 }
 
 /// `harness bench`: record or gate a scenario's benchmark-trajectory
 /// entry.
-fn cmd_bench(it: std::env::Args) -> Result<bool, String> {
-    let args = parse_bench_args(it)?;
-    let commit = args
+fn cmd_bench(a: &Args) -> Result<bool, String> {
+    let name = a.scenario.as_deref().expect("the synopsis requires it");
+    let scenario = scenario_named(name)?;
+    let commit = a
         .commit
         .clone()
         .unwrap_or_else(harness::trajectory::current_commit);
-
-    let name = args.scenario.as_deref().expect("checked by parser");
-    let scenario = harness::find_scenario(name)
-        .ok_or_else(|| format!("unknown scenario `{name}` (see `harness list`)"))?;
-    let store_path = args
+    let store_path = a
         .store
         .as_ref()
         .map(PathBuf::from)
         .unwrap_or_else(|| TrajectoryStore::default_path(name));
-    let threads = args.threads.unwrap_or_else(default_threads);
+    let threads = a.threads.unwrap_or_else(default_threads);
 
-    if args.check {
+    if a.check {
         let store = TrajectoryStore::load(&store_path).map_err(|e| {
             format!("{e} (no trajectory recorded yet? `harness bench --scenario {name} --record`)")
         })?;
@@ -731,19 +661,12 @@ fn cmd_bench(it: std::env::Args) -> Result<bool, String> {
             }
         );
         let (run, _) = harness::run_scenario(scenario, &params, threads);
-        let current =
-            harness::entry_from_run(name, &params, &run.reports, &run.timings, &commit);
-        let outcome = harness::check_entry(baseline, &current, args.tolerance_pct);
+        let current = harness::entry_from_run(name, &params, &run.reports, &run.timings, &commit);
+        let outcome = harness::check_entry(baseline, &current, a.tolerance_pct);
         print!("{}", outcome.render());
         Ok(outcome.clean())
     } else {
-        let params = ScenarioParams {
-            quick: args.quick,
-            part: None,
-            requests: args.requests,
-            seed: None,
-            replications: None,
-        };
+        let params = scenario_params(a);
         let (run, _) = harness::run_scenario(scenario, &params, threads);
         let entry = harness::entry_from_run(name, &params, &run.reports, &run.timings, &commit);
         println!(
@@ -762,118 +685,6 @@ fn cmd_bench(it: std::env::Args) -> Result<bool, String> {
     }
 }
 
-#[derive(Debug, Default)]
-struct TraceArgs {
-    capture: bool,
-    matrix: Option<String>,
-    out: Option<String>,
-    report: Option<String>,
-    events: usize,
-    threads: Option<usize>,
-    quick: bool,
-    seed: Option<u64>,
-    requests: Option<u64>,
-    summarize: Option<String>,
-    diff: Option<(String, String)>,
-    replay: Option<String>,
-    policy: String,
-    trace_out: Option<String>,
-}
-
-fn parse_trace_args(mut it: std::env::Args) -> Result<TraceArgs, String> {
-    let mut args = TraceArgs {
-        events: 5_000,
-        policy: "single".to_owned(),
-        ..TraceArgs::default()
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--capture" => args.capture = true,
-            "--matrix" => args.matrix = Some(value("--matrix")?),
-            "--out" => args.out = Some(value("--out")?),
-            "--report" => args.report = Some(value("--report")?),
-            "--events" => {
-                args.events = value("--events")?
-                    .parse()
-                    .map_err(|e| format!("bad event count: {e}"))?;
-                if args.events == 0 {
-                    return Err("--events must be at least 1".to_owned());
-                }
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("bad thread count: {e}"))?,
-                );
-            }
-            "--quick" => args.quick = true,
-            "--seed" => {
-                args.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("bad seed: {e}"))?,
-                );
-            }
-            "--requests" => {
-                let requests: u64 = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("bad requests: {e}"))?;
-                if requests == 0 {
-                    return Err("--requests must be at least 1".to_owned());
-                }
-                args.requests = Some(requests);
-            }
-            "--summarize" => args.summarize = Some(value("--summarize")?),
-            "--diff" => {
-                let a = value("--diff (first store)")?;
-                let b = value("--diff (second store)")?;
-                args.diff = Some((a, b));
-            }
-            "--replay" => args.replay = Some(value("--replay")?),
-            "--policy" => args.policy = value("--policy")?,
-            "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            other => return Err(format!("unknown flag `{other}` for trace")),
-        }
-    }
-    let modes = [
-        args.capture,
-        args.summarize.is_some(),
-        args.diff.is_some(),
-        args.replay.is_some(),
-    ];
-    if modes.iter().filter(|&&m| m).count() != 1 {
-        return Err(
-            "trace needs exactly one of --capture | --summarize <store> | --diff <a> <b> | \
-             --replay <store>"
-                .to_owned(),
-        );
-    }
-    if args.capture {
-        if args.matrix.is_none() || args.out.is_none() {
-            return Err("--capture needs --matrix <name> and --out <store>".to_owned());
-        }
-    } else {
-        for (set, flag) in [
-            (args.matrix.is_some(), "--matrix"),
-            (args.out.is_some(), "--out"),
-            (args.report.is_some(), "--report"),
-            (args.quick, "--quick"),
-            (args.seed.is_some(), "--seed"),
-            (args.requests.is_some(), "--requests"),
-        ] {
-            if set {
-                return Err(format!("{flag} applies to --capture"));
-            }
-        }
-    }
-    if args.replay.is_none() && args.trace_out.is_some() {
-        return Err("--trace-out applies to --replay".to_owned());
-    }
-    Ok(args)
-}
-
 fn parse_replay_policy(name: &str) -> Result<rpcvalet::Policy, String> {
     match name {
         "single" => Ok(rpcvalet::Policy::hw_single_queue()),
@@ -889,22 +700,23 @@ fn parse_replay_policy(name: &str) -> Result<rpcvalet::Policy, String> {
 /// sealed store, summarize a store's per-hop anatomy, diff two stores
 /// (the sim↔live divergence report), or replay a recorded arrival trace
 /// through the simulator.
-fn cmd_trace(it: std::env::Args) -> Result<bool, String> {
-    let args = parse_trace_args(it)?;
-
-    if let Some(path) = &args.summarize {
+fn cmd_trace(a: &Args) -> Result<bool, String> {
+    if let Some(path) = &a.summarize {
         print!("{}", harness::summarize_store(Path::new(path))?);
         return Ok(true);
     }
 
-    if let Some((a, b)) = &args.diff {
-        print!("{}", harness::diff_stores(Path::new(a), Path::new(b))?);
+    if let Some((first, second)) = &a.diff {
+        print!(
+            "{}",
+            harness::diff_stores(Path::new(first), Path::new(second))?
+        );
         return Ok(true);
     }
 
-    if let Some(path) = &args.replay {
-        let policy = parse_replay_policy(&args.policy)?;
-        let trace_out = args.trace_out.as_ref().map(PathBuf::from);
+    if let Some(path) = &a.replay {
+        let policy = parse_replay_policy(a.policy.as_deref().unwrap_or("single"))?;
+        let trace_out = a.trace_out.as_ref().map(PathBuf::from);
         let outcome = harness::replay_store(Path::new(path), policy, trace_out.as_deref())?;
         let m = &outcome.measurement;
         println!(
@@ -931,33 +743,17 @@ fn cmd_trace(it: std::env::Args) -> Result<bool, String> {
     }
 
     // --capture
-    let name = args.matrix.as_deref().expect("checked by parser");
-    let mut matrix = ScenarioMatrix::named(name).ok_or_else(|| {
-        format!(
-            "unknown matrix `{name}` (known: {})",
-            ScenarioMatrix::known_names().join(", ")
-        )
-    })?;
-    if args.quick {
-        matrix = matrix.quick();
-    }
-    if let Some(seed) = args.seed {
-        matrix.master_seed = seed;
-    }
-    if let Some(requests) = args.requests {
-        matrix.requests = requests;
-        matrix.warmup = requests / 10;
-    }
-    let threads = args.threads.unwrap_or_else(default_threads);
-    let out = PathBuf::from(args.out.as_deref().expect("checked by parser"));
+    let matrix = named_matrix(a.matrix.as_deref().expect("the synopsis requires it"), a)?;
+    let threads = a.threads.unwrap_or_else(default_threads);
+    let events = a.events.unwrap_or(5_000);
+    let out = PathBuf::from(a.out.as_deref().expect("the synopsis requires it"));
     println!(
-        "trace capture {}: {} jobs x {} requests, first {} request(s) per job",
+        "trace capture {}: {} jobs x {} requests, first {events} request(s) per job",
         matrix.name,
         matrix.jobs().len(),
-        matrix.requests,
-        args.events
+        matrix.requests
     );
-    let captured = harness::capture_matrix(&matrix, threads, args.events, &out)
+    let captured = harness::capture_matrix(&matrix, threads, events, &out)
         .map_err(|e| format!("capture {}: {e}", out.display()))?;
     println!("  {}", captured.timing.summary_line());
     println!(
@@ -976,7 +772,7 @@ fn cmd_trace(it: std::env::Args) -> Result<bool, String> {
             captured.dropped
         );
     }
-    if let Some(report_path) = &args.report {
+    if let Some(report_path) = &a.report {
         std::fs::write(report_path, captured.report.to_json_pretty())
             .map_err(|e| format!("write {report_path}: {e}"))?;
         println!("[wrote {report_path}]");
@@ -984,97 +780,51 @@ fn cmd_trace(it: std::env::Args) -> Result<bool, String> {
     Ok(true)
 }
 
-#[derive(Debug, Default)]
-struct PlotArgs {
-    scenario: Option<String>,
-    out_dir: Option<String>,
-    figures_dir: Option<String>,
-    store: Option<String>,
-    series: Option<String>,
-}
-
-fn parse_plot_args(mut it: std::env::Args) -> Result<PlotArgs, String> {
-    let mut args = PlotArgs::default();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--scenario" => args.scenario = Some(value("--scenario")?),
-            "--out-dir" => args.out_dir = Some(value("--out-dir")?),
-            "--figures-dir" => args.figures_dir = Some(value("--figures-dir")?),
-            "--store" => args.store = Some(value("--store")?),
-            "--series" => args.series = Some(value("--series")?),
-            other => return Err(format!("unknown flag `{other}` for plot")),
-        }
-    }
-    match (&args.scenario, &args.series) {
-        (None, None) => {
-            return Err("plot needs --scenario <name> or --series <store>".to_owned())
-        }
-        (Some(_), Some(_)) => {
-            return Err("--scenario and --series are mutually exclusive".to_owned())
-        }
-        _ => {}
-    }
-    if args.series.is_some() {
-        for (set, flag) in [
-            (args.out_dir.is_some(), "--out-dir"),
-            (args.store.is_some(), "--store"),
-        ] {
-            if set {
-                return Err(format!("{flag} applies to --scenario plots"));
-            }
-        }
-    }
-    Ok(args)
-}
-
-/// `harness plot --series`: render a telemetry series store (from
-/// `harness run --timeseries`) as occupancy heatmaps and per-window p99
-/// charts.
-fn cmd_plot_series(path: &str, figures_dir: Option<&str>) -> Result<bool, String> {
-    let store = telemetry::SeriesStore::load(Path::new(path))?;
-    println!(
-        "series store {path}: {} ({}), {} job series at {} ps/window, digest {}",
-        store.meta.label, store.meta.source, store.jobs.len(), store.meta.interval_ps, store.digest
-    );
-    let artifacts = harness::scenario::Artifacts::new(harness::series_artifacts(&store));
-    artifacts.print();
-    let figures_dir = figures_dir
-        .map(PathBuf::from)
-        .unwrap_or_else(harness::figures_dir);
-    let written = artifacts
-        .write_all(&figures_dir)
-        .map_err(|e| format!("write artifacts to {}: {e}", figures_dir.display()))?;
-    for path in &written {
-        println!("[wrote {}]", path.display());
-    }
-    Ok(true)
-}
-
 /// `harness plot`: render a scenario's recorded reports (latency vs
-/// load) and its trajectory store (metrics over commits) as byte-stable
+/// load) and its trajectory store (metrics over commits), or a
+/// telemetry series store (from `harness run --timeseries`) as
+/// occupancy heatmaps and per-window p99 charts — all as byte-stable
 /// SVG/text artifacts.
-fn cmd_plot(it: std::env::Args) -> Result<bool, String> {
-    let args = parse_plot_args(it)?;
-    if let Some(series_path) = &args.series {
-        return cmd_plot_series(series_path, args.figures_dir.as_deref());
+fn cmd_plot(a: &Args) -> Result<bool, String> {
+    if let Some(path) = &a.series {
+        let store = telemetry::SeriesStore::load(Path::new(path))?;
+        println!(
+            "series store {path}: {} ({}), {} job series at {} ps/window, digest {}",
+            store.meta.label,
+            store.meta.source,
+            store.jobs.len(),
+            store.meta.interval_ps,
+            store.digest
+        );
+        let artifacts = Artifacts::new(harness::series_artifacts(&store));
+        emit(&artifacts, a.figures_dir.as_deref())?;
+        return Ok(true);
     }
-    let name = args.scenario.as_deref().expect("checked by parser");
-    let scenario = harness::find_scenario(name)
-        .ok_or_else(|| format!("unknown scenario `{name}` (see `harness list`)"))?;
+    let name = a.scenario.as_deref().expect("the synopsis requires it");
+    let scenario = scenario_named(name)?;
 
     // Reports from a previous `harness run --scenario` in --out-dir.
-    let out_dir = PathBuf::from(args.out_dir.as_deref().unwrap_or("."));
+    let out_dir = PathBuf::from(a.out_dir.as_deref().unwrap_or("."));
     let mut reports = Vec::new();
     for matrix in harness::build_matrices(scenario, &ScenarioParams::full()) {
         let path = out_dir.join(format!("{}.json", matrix.name));
-        if path.exists() {
-            let path_str = path.display().to_string();
-            reports.push(read_report(&path_str, "recorded report")?);
+        if !path.exists() {
+            continue;
         }
+        let path = path.display();
+        let text = std::fs::read_to_string(path.to_string())
+            .map_err(|e| format!("read recorded report {path}: {e}"))?;
+        reports.push(SweepReport::from_json(&text).map_err(|e| {
+            format!(
+                "parse recorded report {path}: {e} (pre-v{} reports cannot be read by this \
+                 binary; re-run the matrix to regenerate the file — job seeds are stable, so \
+                 the regenerated measurements are bit-identical)",
+                harness::REPORT_VERSION
+            )
+        })?);
     }
 
-    let store_path = args
+    let store_path = a
         .store
         .as_ref()
         .map(PathBuf::from)
@@ -1094,169 +844,42 @@ fn cmd_plot(it: std::env::Args) -> Result<bool, String> {
         ));
     }
 
-    let mut artifacts = harness::scenario::Artifacts::new(harness::latency_artifacts(&reports));
+    let mut artifacts = Artifacts::new(harness::latency_artifacts(&reports));
     if let Some(store) = &store {
         artifacts.items.extend(harness::trajectory_artifacts(store));
     }
-    artifacts.print();
-    let figures_dir = args
-        .figures_dir
-        .as_ref()
-        .map(PathBuf::from)
-        .unwrap_or_else(harness::figures_dir);
-    let written = artifacts
-        .write_all(&figures_dir)
-        .map_err(|e| format!("write artifacts to {}: {e}", figures_dir.display()))?;
-    for path in &written {
-        println!("[wrote {}]", path.display());
-    }
+    emit(&artifacts, a.figures_dir.as_deref())?;
     Ok(true)
-}
-
-#[derive(Debug)]
-struct WatchArgs {
-    scenario: Option<String>,
-    addr: Option<String>,
-    frames: Option<u64>,
-    refresh_ms: u64,
-    window_ms: u64,
-    clear: bool,
-    quick: bool,
-    requests: Option<u64>,
-}
-
-fn parse_watch_args(mut it: std::env::Args) -> Result<WatchArgs, String> {
-    let mut args = WatchArgs {
-        scenario: None,
-        addr: None,
-        frames: None,
-        refresh_ms: 500,
-        window_ms: 250,
-        clear: false,
-        quick: false,
-        requests: None,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--scenario" => args.scenario = Some(value("--scenario")?),
-            "--addr" => args.addr = Some(value("--addr")?),
-            "--frames" => {
-                let frames: u64 = value("--frames")?
-                    .parse()
-                    .map_err(|e| format!("bad frame count: {e}"))?;
-                if frames == 0 {
-                    return Err("--frames must be at least 1".to_owned());
-                }
-                args.frames = Some(frames);
-            }
-            "--refresh-ms" => {
-                args.refresh_ms = value("--refresh-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad refresh interval: {e}"))?;
-                if args.refresh_ms == 0 {
-                    return Err("--refresh-ms must be at least 1".to_owned());
-                }
-            }
-            "--window-ms" => {
-                args.window_ms = value("--window-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad window length: {e}"))?;
-                if args.window_ms == 0 {
-                    return Err("--window-ms must be at least 1".to_owned());
-                }
-            }
-            "--clear" => args.clear = true,
-            "--quick" => args.quick = true,
-            "--requests" => {
-                let requests: u64 = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("bad requests: {e}"))?;
-                if requests == 0 {
-                    return Err("--requests must be at least 1".to_owned());
-                }
-                args.requests = Some(requests);
-            }
-            other => return Err(format!("unknown flag `{other}` for watch")),
-        }
-    }
-    match (&args.scenario, &args.addr) {
-        (None, None) => {
-            return Err("watch needs --scenario <name> (spawns a loopback run) or \
-                        --addr host:port (polls a running valetd)"
-                .to_owned())
-        }
-        (Some(_), Some(_)) => {
-            return Err("--scenario and --addr are mutually exclusive".to_owned())
-        }
-        _ => {}
-    }
-    if args.addr.is_some() {
-        for (set, flag) in [
-            (args.quick, "--quick"),
-            (args.requests.is_some(), "--requests"),
-            (args.window_ms != 250, "--window-ms"),
-        ] {
-            if set {
-                return Err(format!(
-                    "{flag} applies to --scenario watches (a remote server owns its own \
-                     run shape and window length)"
-                ));
-            }
-        }
-    }
-    Ok(args)
 }
 
 /// `harness watch`: a refreshing dashboard over a live server's
 /// windowed `METRICS` stream — spawned loopback or remote `valetd`.
-fn cmd_watch(it: std::env::Args) -> Result<bool, String> {
-    let args = parse_watch_args(it)?;
-    let cfg = harness::WatchConfig {
-        frames: args.frames,
-        refresh: std::time::Duration::from_millis(args.refresh_ms),
-        clear: args.clear,
+fn cmd_watch(a: &Args) -> Result<bool, String> {
+    let mut cfg = harness::WatchConfig {
+        frames: a.frames,
+        clear: a.clear,
         ..harness::WatchConfig::default()
     };
+    if let Some(ms) = a.refresh_ms {
+        cfg.refresh = std::time::Duration::from_millis(ms);
+    }
     let mut stdout = std::io::stdout();
 
-    let summary = if let Some(addr) = &args.addr {
-        use std::net::ToSocketAddrs;
-        let resolved = addr
-            .to_socket_addrs()
-            .map_err(|e| format!("resolve {addr}: {e}"))?
-            .next()
-            .ok_or_else(|| format!("no address for {addr}"))?;
+    let summary = if let Some(addr) = &a.addr {
+        let resolved = live::cli::resolve_addr(addr)?;
         harness::watch_addr(resolved, addr, &cfg, &mut stdout)
             .map_err(|e| format!("watch {addr}: {e}"))?
     } else {
-        let name = args.scenario.as_deref().expect("checked by parser");
-        let scenario = harness::find_scenario(name)
-            .ok_or_else(|| format!("unknown scenario `{name}` (see `harness list`)"))?;
-        let params = ScenarioParams {
-            quick: args.quick,
-            part: None,
-            requests: args.requests,
-            seed: None,
-            replications: None,
-        };
-        let mut spec = harness::live_spec_for_scenario(scenario, &params)?;
-        if let Some(requests) = args.requests {
-            spec.requests = requests;
-            spec.warmup = requests / 10;
-        }
+        let name = a.scenario.as_deref().expect("the synopsis requires it");
+        let spec = harness::live_spec_for_scenario(scenario_named(name)?, &scenario_params(a))?;
+        let window_ms = a.window_ms.unwrap_or(250);
         println!(
-            "watch {name}: {} workers, {} requests at load {:.2}, {} ms windows",
-            spec.workers, spec.requests, spec.load, args.window_ms
+            "watch {name}: {} workers, {} requests at load {:.2}, {window_ms} ms windows",
+            spec.workers, spec.requests, spec.load
         );
-        harness::watch_loopback(
-            &spec,
-            std::time::Duration::from_millis(args.window_ms),
-            &cfg,
-            name,
-            &mut stdout,
-        )
-        .map_err(|e| format!("watch {name}: {e}"))?
+        let window = std::time::Duration::from_millis(window_ms);
+        harness::watch_loopback(&spec, window, &cfg, name, &mut stdout)
+            .map_err(|e| format!("watch {name}: {e}"))?
     };
     println!(
         "watched {} frame(s): {} window(s), {} arrival(s), {} completion(s)",
@@ -1288,75 +911,186 @@ fn reset_sigpipe() {}
 
 fn main() -> ExitCode {
     reset_sigpipe();
-    let mut it = std::env::args();
-    let _argv0 = it.next();
-    let outcome = match it.next().as_deref() {
-        Some("run") => cmd_run(it),
-        Some("bench") => cmd_bench(it),
-        Some("trace") => cmd_trace(it),
-        Some("plot") => cmd_plot(it),
-        Some("watch") => cmd_watch(it),
-        Some("list") => {
-            let mut mode = None;
-            let mut parse_error = None;
-            for arg in it {
-                let parsed = match arg.as_str() {
-                    "--json" => ListMode::Json,
-                    "--names" => ListMode::Names,
-                    "--readme" => ListMode::Readme,
-                    "--check" => ListMode::Check,
-                    other => {
-                        parse_error = Some(format!("unknown flag `{other}` for list"));
-                        break;
-                    }
-                };
-                if let Some(previous) = mode.replace(parsed) {
-                    // Picking one silently would swallow the output (or
-                    // the check) the caller asked for.
-                    parse_error = Some(format!(
-                        "list takes one mode flag, got {previous:?} and {parsed:?} \
-                         (--json | --names | --readme | --check)"
-                    ));
-                    break;
-                }
-            }
-            match parse_error {
-                Some(message) => Err(message),
-                None => Ok(cmd_list(mode.unwrap_or(ListMode::Table))),
-            }
-        }
-        Some("--help") | Some("-h") | None => {
-            eprintln!(
-                "usage: harness run --scenario <name> [--quick] [--part a|b|c] [--threads n] \
-                 [--seed n] [--requests n] [--replications n] [--out-dir dir] \
-                 [--figures-dir dir] [--baseline old.json] [--tolerance pct] [--fresh]\n       \
-                 harness run --matrix <name> [--out file.json] [--trace n] \
-                 [--timeseries store.series [--series-window-us n]] [shared flags]\n       \
-                 harness bench --scenario <name> (--record | --check) [--tolerance pct] \
-                 [--store file.json] [--threads n] [--quick] [--requests n] [--commit id]\n       \
-                 harness trace --capture --matrix <name> --out store.trace [--events n] \
-                 [--report file.json] [--threads n] [--quick] [--seed n] [--requests n]\n       \
-                 harness trace --summarize store.trace\n       \
-                 harness trace --diff sim.trace live.trace\n       \
-                 harness trace --replay store.trace [--policy single|partitioned|static] \
-                 [--trace-out replay.trace]\n       \
-                 harness plot --scenario <name> [--out-dir dir] [--figures-dir dir] \
-                 [--store file.json]\n       \
-                 harness plot --series store.series [--figures-dir dir]\n       \
-                 harness watch --scenario <name> [--window-ms n] [--quick] [--requests n] | \
-                 --addr host:port  [--frames n] [--refresh-ms n] [--clear]\n       \
-                 harness list [--json | --names | --readme | --check]"
-            );
+    let outcome = match parse(Flags::from_env()) {
+        Ok(Some((body, args))) => body(&args),
+        Ok(None) => {
+            eprint!("{USAGE}");
             Ok(true)
         }
-        Some(other) => Err(format!("unknown command `{other}` (try --help)")),
+        Err(msg) => Err(msg),
     };
     match outcome {
         Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE, // baseline regressions
+        Ok(false) => ExitCode::FAILURE, // a failed gate or registry check
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses `line`, which starts with the subcommand.
+    fn parse_line(line: &str) -> Result<Option<Args>, String> {
+        let words = line.split_whitespace().map(str::to_owned).collect();
+        Ok(parse(Flags::from_args(words))?.map(|(_, args)| args))
+    }
+
+    fn s(value: &str) -> Option<String> {
+        Some(value.to_owned())
+    }
+
+    #[test]
+    fn usage_examples_parse_and_ignored_or_bad_flags_are_errors() {
+        let d = Args::default;
+        let examples = [
+            Args {
+                scenario: s("fig8"),
+                quick: true,
+                ..d()
+            },
+            Args {
+                scenario: s("fig2"),
+                part: s("a"),
+                threads: Some(4),
+                out_dir: s("/tmp/reports"),
+                ..d()
+            },
+            Args {
+                matrix: s("fig7a"),
+                threads: Some(8),
+                out: s("results.json"),
+                ..d()
+            },
+            Args {
+                matrix: s("fig8"),
+                timeseries: s("fig8.series"),
+                ..d()
+            },
+            Args {
+                scenario: s("fig8"),
+                check: true,
+                ..d()
+            },
+            Args {
+                scenario: s("fig8"),
+                requests: Some(20_000),
+                record: true,
+                store: s("old.json"),
+                ..d()
+            },
+            Args {
+                scenario: s("fig8"),
+                check: true,
+                store: s("old.json"),
+                tolerance_pct: Some(1.0),
+                ..d()
+            },
+            Args {
+                capture: true,
+                matrix: s("live_smoke"),
+                out: s("live.trace"),
+                ..d()
+            },
+            Args {
+                summarize: s("live.trace"),
+                ..d()
+            },
+            Args {
+                diff: Some(("sim.trace".to_owned(), "live.trace".to_owned())),
+                ..d()
+            },
+            Args {
+                replay: s("live.trace"),
+                trace_out: s("sim.trace"),
+                ..d()
+            },
+            Args {
+                scenario: s("fig8"),
+                ..d()
+            },
+            Args {
+                series: s("fig8.series"),
+                ..d()
+            },
+            Args {
+                scenario: s("live_smoke"),
+                quick: true,
+                ..d()
+            },
+            Args {
+                addr: s("127.0.0.1:7117"),
+                ..d()
+            },
+            Args {
+                readme: true,
+                ..d()
+            },
+        ];
+        let lines: Vec<&str> = USAGE
+            .split("examples:")
+            .nth(1)
+            .expect("usage has examples")
+            .lines()
+            .filter_map(|line| line.split('#').next()?.trim().strip_prefix("harness "))
+            .collect();
+        assert_eq!(lines.len(), examples.len(), "one expectation per example");
+        for (line, want) in lines.into_iter().zip(examples) {
+            assert_eq!(parse_line(line), Ok(Some(want)), "{line}");
+        }
+        for line in ["", "--help", "-h"] {
+            assert_eq!(parse_line(line), Ok(None), "`{line}` prints the usage");
+        }
+
+        // `command line => expected error`.
+        let rejected = [
+            // A flag the selected mode would ignore, even at its default.
+            "bench --scenario a --record --tolerance 5 => goes with `bench --scenario --check`",
+            "bench --scenario a --check --requests 9 => (it goes with `bench --scenario --record`)",
+            "trace --capture --matrix m --out o --policy static => (it goes with `trace --replay`)",
+            "trace --summarize s --events 5 => --events does not apply to `trace --summarize`",
+            "trace --diff a b --threads 2 => --threads does not apply to `trace --diff`",
+            "trace --replay r --events 5 => --events does not apply to `trace --replay`",
+            "trace --replay r --threads 2 => --threads does not apply to `trace --replay`",
+            "trace --summarize s --policy single => (it goes with `trace --replay`)",
+            "watch --addr h:1 --window-ms 250 => --window-ms does not apply to `watch --addr`",
+            "run --matrix m --series-window-us 100 => (it goes with `run --matrix --timeseries`)",
+            "run --scenario a --out r.json => --out does not apply to `run --scenario`",
+            "run --scenario a --trace 10 => --trace does not apply to `run --scenario`",
+            "run --scenario a --timeseries s => --timeseries does not apply to `run --scenario`",
+            "run --matrix m --part a => --part does not apply to `run --matrix`",
+            "plot --series s --store b.json => --store does not apply to `plot --series`",
+            // Two modes at once, or none.
+            "run --scenario a --matrix b => --matrix does not apply to `run --scenario`",
+            "bench --scenario a --record --check => --check does not apply to `bench --scenario",
+            "trace --capture --summarize s => --capture does not apply to `trace --summarize`",
+            "plot --scenario a --series s => --series does not apply to `plot --scenario`",
+            "watch --scenario a --addr h:1 => --addr does not apply to `watch --scenario`",
+            "list --json --names => --names does not apply to `list --json`",
+            "run --quick => one of: run --scenario | run --matrix | run --matrix --timeseries",
+            "bench --record => bench needs one of",
+            "trace --capture --matrix m => trace needs one of: trace --capture --matrix --out |",
+            // Counts that must be at least 1, and malformed values.
+            "run --matrix m --requests 0 => --requests must be at least 1",
+            "run --matrix m --replications 0 => --replications must be at least 1",
+            "trace --capture --matrix m --out o --events 0 => --events must be at least 1",
+            "watch --addr h:1 --frames 0 => --frames must be at least 1",
+            "run --matrix m --threads many => bad --threads",
+            "bench --scenario a --check --tolerance -1 => --tolerance must be non-negative",
+            "run --matrix m --out => --out needs a value",
+            // Unknown commands, and flags no form of the command names.
+            "run --scenario a --tolerance 1 => unknown flag `--tolerance` for run",
+            "run --matrix m n => unknown flag `n` for run",
+            "list --quick => unknown flag `--quick` for list",
+            "frobnicate => unknown command `frobnicate`",
+        ];
+        for row in rejected {
+            let (line, want) = row.split_once(" => ").expect("`line => error` row");
+            let err = parse_line(line).expect_err(line);
+            assert!(err.contains(want), "{line}: got `{err}`, want `{want}`");
         }
     }
 }

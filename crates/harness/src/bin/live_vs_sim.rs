@@ -14,8 +14,9 @@
 //! (the live side runs the same exponential profile scaled to µs-sleeps,
 //! so worker "cores" overlap even on a 1-CPU machine).
 //!
-//! Exits non-zero if either side violates the ordering — the CI smoke
-//! job runs `--quick` to keep the subsystem from bit-rotting.
+//! Exits non-zero if either side violates the ordering, or on any flag
+//! but `--quick` — the CI smoke job runs `--quick` to keep the subsystem
+//! from bit-rotting.
 //!
 //! Usage: `cargo run -p harness --release --bin live_vs_sim [--quick]`
 
@@ -26,6 +27,7 @@ use harness::{
     default_threads, run_matrix, Artifact, Artifacts, JobKind, LiveParams, RateGrid,
     ScenarioMatrix, SweepReport,
 };
+use live::cli::Flags;
 use live::{BurnMode, LivePolicy};
 use queueing::QxU;
 use serde::Serialize;
@@ -81,8 +83,28 @@ fn ordering_holds(p99s: &[(String, f64)]) -> bool {
     p99s[0].1 <= p99s[1].1 * TOLERANCE && p99s[1].1 <= p99s[2].1 * TOLERANCE
 }
 
+/// Whether the command line asked for `--quick`, the only flag.
+fn parse_quick(mut flags: Flags) -> Result<bool, String> {
+    let mut quick = false;
+    while let Some(flag) = flags.next_flag() {
+        if flag != "--quick" {
+            return Err(format!(
+                "unknown flag `{flag}` (usage: live_vs_sim [--quick])"
+            ));
+        }
+        quick = true;
+    }
+    Ok(quick)
+}
+
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = match parse_quick(Flags::from_env()) {
+        Ok(quick) => quick,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     let requests = if quick { 1_000 } else { 4_000 };
     println!("=== live_vs_sim: measured loopback serving vs queueing models ===");
     println!(
@@ -206,5 +228,24 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_quick_is_accepted() {
+        let parse = |args: &[&str]| {
+            parse_quick(Flags::from_args(
+                args.iter().map(|a| a.to_string()).collect(),
+            ))
+        };
+        assert_eq!(parse(&[]), Ok(false));
+        assert_eq!(parse(&["--quick"]), Ok(true));
+        assert!(parse(&["--quik"])
+            .unwrap_err()
+            .contains("unknown flag `--quik`"));
     }
 }

@@ -12,6 +12,11 @@
 //! loopback RPC serving via the `live` crate) — all through the same
 //! matrix expansion, pool, and report machinery.
 //!
+//! A matrix runs one way — [`run_matrix`], or [`run_matrix_observed`]
+//! when its jobs should also capture trace events or windowed series —
+//! and is gated against an earlier run one way: a [`TrajectoryStore`]
+//! entry (`harness bench --record`, then `--check`).
+//!
 //! The contract that makes parallelism safe to depend on: **a sweep's
 //! report is byte-identical for any worker-thread count.** Job seeds
 //! derive only from the matrix (`split_seed(master, load-point index)`,
@@ -45,11 +50,9 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
-pub mod diff;
 pub mod plot;
 pub mod pool;
 pub mod report;
-pub mod resume;
 pub mod scenario;
 pub mod spec;
 pub mod tracecmd;
@@ -59,7 +62,6 @@ pub mod watch;
 pub use catalog::{
     catalog, find_scenario, readme_catalog_table, registry_problems, REQUIRED_SCENARIOS,
 };
-pub use diff::{diff_reports, BaselineDiff, Regression};
 pub use plot::{
     latency_artifacts, series_artifacts, sparkline, svg_line_chart, text_panel,
     trajectory_artifacts, Series,
@@ -71,10 +73,7 @@ pub use trajectory::{
     check_entry, current_commit, digest_reports, entry_from_run, params_for_entry, CheckReport,
     SidecarStats, TrajectoryEntry, TrajectoryMetric, TrajectoryStore, STORE_VERSION,
 };
-pub use pool::{
-    default_threads, run_jobs, run_jobs_observed, run_jobs_series, JobDispatcher, JobOutcome,
-};
-pub use resume::{run_matrix_resumed, ResumeError};
+pub use pool::{default_threads, run_jobs, run_jobs_series, JobOutcome, Observations};
 pub use tracecmd::{
     capture_matrix, diff_stores, replay_store, schedule_from_events, summarize_store,
 };
@@ -108,57 +107,42 @@ pub fn threads_for_jobs(jobs: &[ExperimentSpec], threads: usize) -> usize {
 /// worker count — `threads` clamped to the job count, and to 1 for
 /// matrices with live jobs, which must own the machine).
 pub fn run_matrix(matrix: &ScenarioMatrix, threads: usize) -> (SweepReport, SweepTiming) {
-    let start = std::time::Instant::now(); // detlint: allow(D001, reason = "wall-clock sidecar; never enters the deterministic report")
-    let jobs = matrix.jobs();
-    let threads = threads_for_jobs(&jobs, threads);
-    let effective = simkit::pool::effective_threads(threads, jobs.len());
-    let outcomes = pool::run_jobs(jobs, threads);
-    let total_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let report = SweepReport::from_outcomes(matrix, &outcomes);
-    let timing = report::timing_from_outcomes(matrix, &outcomes, effective, total_wall_ms);
+    let (report, timing, ()) =
+        run_matrix_with(matrix, threads, |jobs, threads| (pool::run_jobs(jobs, threads), ()));
     (report, timing)
 }
 
-/// [`run_matrix`], with request-lifecycle tracing: every job also
-/// captures its first `capture` requests' hop events (see
-/// [`run_jobs_observed`]). The report is byte-identical to the untraced
-/// [`run_matrix`] report, and for sim/model matrices the event stream is
-/// byte-identical for every `threads` value.
-pub fn run_matrix_traced(
+/// [`run_matrix`], observed: every job also captures its first
+/// `capture` requests' hop events and, when `series_interval_ps > 0`,
+/// a windowed telemetry series (see [`run_jobs_series`]). The report is
+/// byte-identical to the unobserved [`run_matrix`] report, and for
+/// sim/model matrices the events and series are byte-identical for
+/// every `threads` value.
+pub fn run_matrix_observed(
     matrix: &ScenarioMatrix,
     threads: usize,
     capture: usize,
-) -> (SweepReport, SweepTiming, Vec<telemetry::TraceEvent>, u64) {
-    let start = std::time::Instant::now(); // detlint: allow(D001, reason = "wall-clock sidecar; never enters the deterministic report")
-    let jobs = matrix.jobs();
-    let threads = threads_for_jobs(&jobs, threads);
-    let effective = simkit::pool::effective_threads(threads, jobs.len());
-    let (outcomes, events, dropped) = pool::run_jobs_observed(jobs, threads, capture);
-    let total_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let report = SweepReport::from_outcomes(matrix, &outcomes);
-    let timing = report::timing_from_outcomes(matrix, &outcomes, effective, total_wall_ms);
-    (report, timing, events, dropped)
+    series_interval_ps: u64,
+) -> (SweepReport, SweepTiming, Observations) {
+    run_matrix_with(matrix, threads, |jobs, threads| {
+        pool::run_jobs_series(jobs, threads, capture, series_interval_ps)
+    })
 }
 
-/// [`run_matrix`], with windowed telemetry: every job also records a
-/// time series at `series_interval_ps` (sim jobs sample simulated time
-/// deterministically; live jobs window both server and client clocks).
-/// The report is byte-identical to the unwindowed [`run_matrix`] report,
-/// and for sim matrices the series collection is byte-identical for
-/// every `threads` value.
-pub fn run_matrix_series(
+/// The one run-matrix body: expand the jobs, clamp the worker count,
+/// run them through `run` on the pool, and assemble report and sidecar.
+fn run_matrix_with<T>(
     matrix: &ScenarioMatrix,
     threads: usize,
-    series_interval_ps: u64,
-) -> (SweepReport, SweepTiming, Vec<telemetry::JobSeries>) {
+    run: impl FnOnce(Vec<ExperimentSpec>, usize) -> (Vec<JobOutcome>, T),
+) -> (SweepReport, SweepTiming, T) {
     let start = std::time::Instant::now(); // detlint: allow(D001, reason = "wall-clock sidecar; never enters the deterministic report")
     let jobs = matrix.jobs();
     let threads = threads_for_jobs(&jobs, threads);
     let effective = simkit::pool::effective_threads(threads, jobs.len());
-    let (outcomes, _events, _dropped, series) =
-        pool::run_jobs_series(jobs, threads, 0, series_interval_ps);
+    let (outcomes, observed) = run(jobs, threads);
     let total_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let report = SweepReport::from_outcomes(matrix, &outcomes);
     let timing = report::timing_from_outcomes(matrix, &outcomes, effective, total_wall_ms);
-    (report, timing, series)
+    (report, timing, observed)
 }

@@ -16,13 +16,10 @@
 
 use std::time::Instant;
 
-use simkit::pool::{run_indexed, TaskQueue};
+use simkit::pool::run_indexed;
 use telemetry::TraceEvent;
 
 use crate::spec::{ExperimentSpec, Measurement};
-
-/// The central job queue workers pull [`ExperimentSpec`]s from.
-pub type JobDispatcher = TaskQueue<ExperimentSpec>;
 
 /// The outcome of one job, with its position in the original job list.
 #[derive(Debug, Clone)]
@@ -56,35 +53,31 @@ pub fn run_jobs(jobs: Vec<ExperimentSpec>, threads: usize) -> Vec<JobOutcome> {
     })
 }
 
-/// [`run_jobs`], with request-lifecycle tracing: every job also captures
-/// its first `capture` requests' hop events, namespaced by
-/// `job-index << 40` so ids never collide across jobs.
-///
-/// Returns `(outcomes, events, dropped)`. Events are concatenated in
-/// **job order** (not completion order), so for sim/model jobs the event
-/// stream — and hence the trace store's digest — is bit-identical for
-/// every `threads` value, exactly like the measurement report.
-pub fn run_jobs_observed(
-    jobs: Vec<ExperimentSpec>,
-    threads: usize,
-    capture: usize,
-) -> (Vec<JobOutcome>, Vec<TraceEvent>, u64) {
-    let (outcomes, events, dropped, _series) = run_jobs_series(jobs, threads, capture, 0);
-    (outcomes, events, dropped)
+/// What an observed pool run recorded beyond the outcomes, all in
+/// **job order** (not completion order): for sim/model jobs the event
+/// stream — hence a trace store's digest — and the series collection are
+/// bit-identical for every `threads` value, exactly like the report.
+#[derive(Debug, Default)]
+pub struct Observations {
+    /// Every job's captured hop events, request ids namespaced by
+    /// `job-index << 40` so they never collide across jobs.
+    pub events: Vec<TraceEvent>,
+    /// Events lost to full live trace rings (0 for sim matrices).
+    pub dropped: u64,
+    /// One windowed series per job that produced one.
+    pub series: Vec<telemetry::JobSeries>,
 }
 
-/// [`run_jobs_observed`], also recording a windowed telemetry series per
-/// job when `series_interval_ps > 0` (see
-/// [`ExperimentSpec::run_observed_series`]). Series come back in **job
-/// order**, one [`telemetry::JobSeries`] per job that produced one —
-/// for sim matrices the collection is bit-identical for every `threads`
-/// value, same contract as the report and the event stream.
+/// [`run_jobs`], observed: every job also captures its first `capture`
+/// requests' hop events and, when `series_interval_ps > 0`, records a
+/// windowed telemetry series (see
+/// [`ExperimentSpec::run_observed_series`]).
 pub fn run_jobs_series(
     jobs: Vec<ExperimentSpec>,
     threads: usize,
     capture: usize,
     series_interval_ps: u64,
-) -> (Vec<JobOutcome>, Vec<TraceEvent>, u64, Vec<telemetry::JobSeries>) {
+) -> (Vec<JobOutcome>, Observations) {
     let observed = run_indexed(jobs, threads, move |index, spec| {
         let start = Instant::now();
         let run = spec.run_observed_series(capture, (index as u64) << 40, series_interval_ps);
@@ -97,16 +90,14 @@ pub fn run_jobs_series(
         (outcome, run.events, run.dropped, run.series)
     });
     let mut outcomes = Vec::with_capacity(observed.len());
-    let mut events = Vec::new();
-    let mut dropped = 0;
-    let mut series = Vec::new();
-    for (outcome, job_events, job_dropped, job_series) in observed {
+    let mut all = Observations::default();
+    for (outcome, events, dropped, series) in observed {
         outcomes.push(outcome);
-        events.extend(job_events);
-        dropped += job_dropped;
-        series.extend(job_series);
+        all.events.extend(events);
+        all.dropped += dropped;
+        all.series.extend(series);
     }
-    (outcomes, events, dropped, series)
+    (outcomes, all)
 }
 
 pub use simkit::pool::default_threads;
@@ -126,20 +117,6 @@ mod tests {
             .rates(RateGrid::Shared(vec![4.0e6, 10.0e6, 16.0e6]))
             .requests(4_000, 400)
             .jobs()
-    }
-
-    #[test]
-    fn dispatcher_hands_out_jobs_in_order_once() {
-        let jobs = small_jobs();
-        let n = jobs.len();
-        let d = JobDispatcher::new(jobs);
-        let mut seen = Vec::new();
-        while let Some((i, _)) = d.request() {
-            seen.push(i);
-        }
-        assert_eq!(seen, (0..n).collect::<Vec<_>>());
-        assert_eq!(d.pending(), 0);
-        assert!(d.request().is_none());
     }
 
     #[test]

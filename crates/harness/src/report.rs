@@ -131,37 +131,6 @@ pub struct SweepTiming {
 }
 
 impl SweepTiming {
-    /// Assembles a sidecar, deriving `cpu_ms` and `events_per_sec` from
-    /// the per-job vectors — the single place those definitions live
-    /// (fresh and resumed sweeps both construct through here).
-    pub fn new(
-        matrix: impl Into<String>,
-        threads: u64,
-        total_wall_ms: f64,
-        job_wall_ms: Vec<f64>,
-        job_events: Vec<u64>,
-        overflow_pushes: u64,
-        overflow_migrations: u64,
-    ) -> SweepTiming {
-        let cpu_ms: f64 = job_wall_ms.iter().sum();
-        let total_events: u64 = job_events.iter().sum();
-        SweepTiming {
-            matrix: matrix.into(),
-            threads,
-            total_wall_ms,
-            job_wall_ms,
-            cpu_ms,
-            job_events,
-            events_per_sec: if cpu_ms > 0.0 && total_events > 0 {
-                total_events as f64 / (cpu_ms / 1e3)
-            } else {
-                0.0
-            },
-            overflow_pushes,
-            overflow_migrations,
-        }
-    }
-
     /// Achieved speedup: total worker-busy time over elapsed time.
     pub fn speedup(&self) -> f64 {
         if self.total_wall_ms > 0.0 {
@@ -275,10 +244,8 @@ fn ci95_half_width(values: &[f64]) -> f64 {
 }
 
 impl JobRecord {
-    /// The one Measurement→record mapping, shared by fresh runs and
-    /// resumed runs. `index` is the job's position in the matrix being
-    /// assembled (not necessarily `outcome.index`, which is the position
-    /// in whatever sub-list the pool ran).
+    /// The one Measurement→record mapping. `index` is the job's position
+    /// in the matrix being assembled.
     pub fn from_outcome(index: u64, o: &JobOutcome) -> JobRecord {
         JobRecord {
             index,
@@ -463,28 +430,39 @@ impl SweepReport {
     }
 }
 
-/// Builds the timing sidecar from pool outcomes.
+/// Builds the timing sidecar from pool outcomes — the single place
+/// `cpu_ms` and `events_per_sec` are defined.
 pub fn timing_from_outcomes(
     matrix: &ScenarioMatrix,
     outcomes: &[JobOutcome],
     threads: usize,
     total_wall_ms: f64,
 ) -> SweepTiming {
-    SweepTiming::new(
-        matrix.name.clone(),
-        threads as u64,
+    let job_wall_ms: Vec<f64> = outcomes.iter().map(|o| o.wall_ms).collect();
+    let job_events: Vec<u64> = outcomes.iter().map(|o| o.result.sim_events).collect();
+    let cpu_ms: f64 = job_wall_ms.iter().sum();
+    let total_events: u64 = job_events.iter().sum();
+    SweepTiming {
+        matrix: matrix.name.clone(),
+        threads: threads as u64,
         total_wall_ms,
-        outcomes.iter().map(|o| o.wall_ms).collect(),
-        outcomes.iter().map(|o| o.result.sim_events).collect(),
-        outcomes
+        job_wall_ms,
+        cpu_ms,
+        job_events,
+        events_per_sec: if cpu_ms > 0.0 && total_events > 0 {
+            total_events as f64 / (cpu_ms / 1e3)
+        } else {
+            0.0
+        },
+        overflow_pushes: outcomes
             .iter()
             .map(|o| o.result.queue_overflow_pushes)
             .sum(),
-        outcomes
+        overflow_migrations: outcomes
             .iter()
             .map(|o| o.result.queue_overflow_migrations)
             .sum(),
-    )
+    }
 }
 
 #[cfg(test)]

@@ -346,8 +346,8 @@ pub fn validate_part(scenario: &Scenario, params: &ScenarioParams) -> Result<(),
 
 /// Expands a scenario's matrices with every parameter override applied
 /// and each matrix tagged with the scenario's name (what `run_scenario`
-/// executes; exposed so the CLI can add resume/baseline handling around
-/// the individual matrices).
+/// executes; exposed so the CLI can report progress and write each
+/// matrix's report as it finishes).
 pub fn build_matrices(scenario: &Scenario, params: &ScenarioParams) -> Vec<ScenarioMatrix> {
     (scenario.build)(params)
         .into_iter()

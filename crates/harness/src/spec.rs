@@ -326,7 +326,7 @@ pub struct Measurement {
 }
 
 /// Everything one observed job run produces
-/// ([`ExperimentSpec::run_observed`]): the measurement plus the
+/// ([`ExperimentSpec::run_observed_series`]): the measurement plus the
 /// request-lifecycle trace events it captured.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
@@ -443,7 +443,7 @@ impl ExperimentSpec {
     /// Panics on invalid combinations and on live I/O failures — both
     /// mean the matrix itself is broken, not the job.
     pub fn run(&self) -> Measurement {
-        self.run_observed(0, 0).measurement
+        self.run_observed_series(0, 0, 0).measurement
     }
 
     /// [`ExperimentSpec::run`], with unified request-lifecycle tracing:
@@ -459,21 +459,14 @@ impl ExperimentSpec {
     /// and are exempt (tracing on also folds nothing extra in: the
     /// `STATS` snapshot is always queried).
     ///
-    /// # Panics
-    /// Same contract as [`ExperimentSpec::run`].
-    pub fn run_observed(&self, capture: usize, req_base: u64) -> ObservedRun {
-        self.run_observed_series(capture, req_base, 0)
-    }
-
-    /// [`ExperimentSpec::run_observed`], optionally also recording a
-    /// windowed telemetry series (`series_interval_ps > 0`; 0 records
-    /// none). Sim jobs sample off simulated time at the top of the event
-    /// loop — the measurement stays byte-identical to the unwindowed
-    /// run for any thread count. Live jobs window both sides: the server
-    /// runs a metrics sampler and the load generator buckets client-side
-    /// latency; the returned series is the client-side one (the paper's
-    /// measurement convention). Model jobs have no timeline and return
-    /// `None`.
+    /// With `series_interval_ps > 0` (0 records none) the run also
+    /// records a windowed telemetry series. Sim jobs sample off
+    /// simulated time at the top of the event loop — the measurement
+    /// stays byte-identical to the unwindowed run for any thread count.
+    /// Live jobs window both sides: the server runs a metrics sampler and
+    /// the load generator buckets client-side latency; the returned
+    /// series is the client-side one (the paper's measurement
+    /// convention). Model jobs have no timeline and return `None`.
     ///
     /// # Panics
     /// Same contract as [`ExperimentSpec::run`].
@@ -716,8 +709,8 @@ pub fn policy_key(policy: &Policy) -> String {
 ///
 /// Keys are collision-proof across variants *and* stable: a spec that
 /// existed before the sensitivity-knob variants keeps its exact v2 key
-/// (regenerated reports stay `--baseline`-comparable against each
-/// other group for group), and every new knob appends its own suffix so
+/// (regenerated reports stay comparable against each other group for
+/// group), and every new knob appends its own suffix so
 /// no two distinct specs can share a key. (The v3 *envelope* is not
 /// parseable-compatible with v2 files — the offline serde stand-in has
 /// no `#[serde(default)]` — so v2 report files themselves must be

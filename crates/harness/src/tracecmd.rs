@@ -46,7 +46,7 @@ pub fn capture_matrix(
     capture: usize,
     out: &Path,
 ) -> std::io::Result<CaptureOutcome> {
-    let (report, timing, events, dropped) = crate::run_matrix_traced(matrix, threads, capture);
+    let (report, timing, observed) = crate::run_matrix_observed(matrix, threads, capture, 0);
     let jobs = report.jobs.len() as u64;
     let live = matrix.policies.iter().any(|p| p.kind() == JobKind::Live);
     let meta = if live {
@@ -54,13 +54,13 @@ pub fn capture_matrix(
     } else {
         TraceMeta::sim(&matrix.name, jobs)
     };
-    let digest = write_store(out, &meta, &events, dropped)?;
+    let digest = write_store(out, &meta, &observed.events, observed.dropped)?;
     Ok(CaptureOutcome {
         report,
         timing,
         digest,
-        events: events.len() as u64,
-        dropped,
+        events: observed.events.len() as u64,
+        dropped: observed.dropped,
     })
 }
 
@@ -176,7 +176,7 @@ pub fn replay_store(
         trace_capacity: 0,
     };
     let capture = if trace_out.is_some() { requests as usize } else { 0 };
-    let observed = spec.run_observed(capture, 0);
+    let observed = spec.run_observed_series(capture, 0, 0);
     let trace_digest = match trace_out {
         Some(out) => Some(
             write_store(out, &TraceMeta::sim(&label, 1), &observed.events, observed.dropped)

@@ -58,7 +58,7 @@ fn sim_hop_durations_sum_to_end_to_end() {
         .rates(RateGrid::Shared(vec![8.0e6]))
         .requests(3_000, 300);
     for spec in matrix.jobs() {
-        let observed = spec.run_observed(1_500, 0);
+        let observed = spec.run_observed_series(1_500, 0, 0);
         let (timelines, saturated) = assert_hop_sums(&observed.events);
         assert_eq!(timelines, 1_500, "every captured request reassembles");
         assert_eq!(
@@ -92,7 +92,7 @@ fn live_hop_durations_sum_to_end_to_end() {
         chip: None,
         trace_capacity: 0,
     };
-    let observed = spec.run_observed(80, 0);
+    let observed = spec.run_observed_series(80, 0, 0);
     let (timelines, saturated) = assert_hop_sums(&observed.events);
     assert!(
         timelines >= 60,

@@ -500,7 +500,7 @@ mod tests {
     #[test]
     fn policy_keys_are_pinned() {
         // Stored trajectory/report keys — must never change (BENCH
-        // stores and --baseline diffs group by them).
+        // stores and report summaries group by them).
         assert_eq!(LivePolicy::SingleQueue.key(), "live-single");
         assert_eq!(LivePolicy::Partitioned { groups: 4 }.key(), "live-part4");
         assert_eq!(LivePolicy::RssStatic.key(), "live-rss");
