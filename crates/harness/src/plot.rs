@@ -1,6 +1,7 @@
-//! `harness plot`: deterministic chart rendering into typed [`Artifacts`].
+//! `harness plot`: deterministic chart rendering into typed
+//! [`Artifacts`](crate::Artifacts).
 //!
-//! Two chart families, both emitted as byte-stable artifact bodies so
+//! Three chart families, both emitted as byte-stable artifact bodies so
 //! they diff in CI exactly like report JSON:
 //!
 //! * **latency-vs-load** ([`latency_artifacts`]): one SVG + text panel

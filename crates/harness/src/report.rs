@@ -418,16 +418,6 @@ impl SweepReport {
             })
             .collect()
     }
-
-    /// The summaries for one workload, in policy order of first
-    /// appearance.
-    pub fn summaries_for(&self, workload: Workload) -> Vec<PolicySummary> {
-        let label = workload.label();
-        self.summaries()
-            .into_iter()
-            .filter(|s| s.workload == label)
-            .collect()
-    }
 }
 
 /// Builds the timing sidecar from pool outcomes — the single place

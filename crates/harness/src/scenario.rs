@@ -9,7 +9,7 @@
 //!
 //! Experiments are declarative data handed to one engine (`harness run
 //! --scenario <name>`) instead of a `main()` + `println!` binary per
-//! figure. The catalog itself lives in [`crate::catalog`].
+//! figure. The catalog itself lives in [`crate::catalog`](mod@crate::catalog).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -148,8 +148,6 @@ pub enum ArtifactBody {
     Json(String),
     /// Plain rendered text (Table 1's parameter table).
     Text(String),
-    /// Comma-separated values with a header row.
-    Csv(String),
     /// A standalone SVG document (`harness plot` charts); rendering is
     /// byte-stable so the file diffs in CI like the JSON artifacts.
     Svg(String),
@@ -161,7 +159,6 @@ impl ArtifactBody {
         match self {
             ArtifactBody::Json(_) => "json",
             ArtifactBody::Text(_) => "txt",
-            ArtifactBody::Csv(_) => "csv",
             ArtifactBody::Svg(_) => "svg",
         }
     }
@@ -169,10 +166,7 @@ impl ArtifactBody {
     /// The exact bytes written to disk / compared in tests.
     pub fn bytes(&self) -> &str {
         match self {
-            ArtifactBody::Json(s)
-            | ArtifactBody::Text(s)
-            | ArtifactBody::Csv(s)
-            | ArtifactBody::Svg(s) => s,
+            ArtifactBody::Json(s) | ArtifactBody::Text(s) | ArtifactBody::Svg(s) => s,
         }
     }
 }
@@ -211,27 +205,6 @@ impl Artifact {
             name: name.into(),
             display: body.clone(),
             body: ArtifactBody::Text(body),
-        }
-    }
-
-    /// A CSV artifact from a header and stringified rows.
-    pub fn csv(
-        name: impl Into<String>,
-        header: &str,
-        rows: &[String],
-        display: String,
-    ) -> Artifact {
-        let mut body = String::with_capacity(header.len() + rows.len() * 32);
-        body.push_str(header);
-        body.push('\n');
-        for row in rows {
-            body.push_str(row);
-            body.push('\n');
-        }
-        Artifact {
-            name: name.into(),
-            body: ArtifactBody::Csv(body),
-            display,
         }
     }
 
@@ -452,15 +425,14 @@ mod tests {
         let arts = Artifacts::new(vec![
             Artifact::json("t-json", &vec![1, 2, 3], String::new()),
             Artifact::text("t-text", "hello\n".to_owned()),
-            Artifact::csv("t-csv", "a,b", &["1,2".to_owned()], String::new()),
         ]);
         assert_eq!(arts.get("t-text").unwrap().file_name(), "t-text.txt");
-        assert_eq!(arts.get("t-csv").unwrap().body.bytes(), "a,b\n1,2\n");
+        assert_eq!(arts.get("t-text").unwrap().body.bytes(), "hello\n");
         assert!(arts.get("missing").is_none());
 
         let dir = std::env::temp_dir().join(format!("scenario-artifacts-{}", std::process::id()));
         let written = arts.write_all(&dir).unwrap();
-        assert_eq!(written.len(), 3);
+        assert_eq!(written.len(), 2);
         assert_eq!(
             std::fs::read_to_string(dir.join("t-json.json")).unwrap(),
             serde_json::to_string_pretty(&vec![1, 2, 3]).unwrap()

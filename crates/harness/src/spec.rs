@@ -491,7 +491,7 @@ impl ExperimentSpec {
                 let series = r.series.take();
                 let mut events = Vec::new();
                 for trace in r.traces.records().iter().take(capture) {
-                    trace.append_events(req_base | trace.msg, &mut events);
+                    trace.append_events(req_base | trace.req, &mut events);
                 }
                 let measurement = Measurement {
                     label: r.label,
@@ -944,8 +944,13 @@ impl ScenarioMatrix {
     }
 
     /// Scales request/warm-up counts down for smoke runs (the figure
-    /// binaries' `--quick` flag).
+    /// binaries' `--quick` flag). A matrix of live jobs only keeps its
+    /// size: live matrices are already tiny (real wall-clock seconds per
+    /// job), and the 5 000-request floor would inflate them.
     pub fn quick(mut self) -> Self {
+        if self.policies.iter().all(|p| p.kind() == JobKind::Live) {
+            return self;
+        }
         self.requests = (self.requests / 8).max(5_000);
         self.warmup = self.requests / 10;
         self
@@ -1065,324 +1070,320 @@ impl ScenarioMatrix {
     /// | `live_churn` | live | 2-node cluster under a reconnect storm (half the flows severed twice mid-run), × single-queue/partitioned/RSS |
     /// | `live_drain` | live | 3-node cluster where one node drains, restarts, and rejoins mid-run with zero lost requests, × single-queue/partitioned/RSS |
     pub fn named(name: &str) -> Option<ScenarioMatrix> {
-        let hw_policies = || {
-            vec![
-                Policy::hw_static(),
-                Policy::hw_partitioned(),
-                Policy::hw_single_queue(),
-            ]
-        };
-        // Fig. 2's grid: loads from 5 % to 95 % in 5 % steps, seed 2019,
-        // 400 k arrivals.
-        let fig2_loads = || RateGrid::Shared((1..=19).map(|i| i as f64 * 0.05).collect());
-        let fig2_services = |kinds: &[SyntheticKind]| {
-            kinds
-                .iter()
-                .map(|&k| (k.label().to_owned(), k.normalized()))
-                .collect()
-        };
-        let matrix = match name {
-            "fig2a" => ScenarioMatrix::new("fig2a", 2019)
-                .service_workloads(fig2_services(&[SyntheticKind::Exponential]))
-                .model_policies(QxU::FIG2A_CONFIGS.to_vec())
-                .rates(fig2_loads())
-                .requests(400_000, 40_000),
-            "fig2b" => ScenarioMatrix::new("fig2b", 2019)
-                .service_workloads(fig2_services(&SyntheticKind::ALL))
-                .model_policies(vec![QxU::SINGLE_16])
-                .rates(fig2_loads())
-                .requests(400_000, 40_000),
-            "fig2c" => ScenarioMatrix::new("fig2c", 2019)
-                .service_workloads(fig2_services(&SyntheticKind::ALL))
-                .model_policies(vec![QxU::PARTITIONED_16])
-                .rates(fig2_loads())
-                .requests(400_000, 40_000),
-            "fig6" => ScenarioMatrix::new("fig6", 66)
-                .workloads(vec![
-                    Workload::Synthetic(SyntheticKind::Fixed),
-                    Workload::Synthetic(SyntheticKind::Uniform),
-                    Workload::Synthetic(SyntheticKind::Exponential),
-                    Workload::Synthetic(SyntheticKind::Gev),
-                    Workload::Herd,
-                    Workload::Masstree,
-                ])
-                .policies(vec![Policy::hw_single_queue()])
-                .requests(100_000, 10_000),
-            "fig7a" => ScenarioMatrix::new("fig7a", 71)
-                .workloads(vec![Workload::Herd])
-                .policies(hw_policies())
-                .requests(250_000, 25_000),
-            "fig7b" => ScenarioMatrix::new("fig7b", 72)
-                .workloads(vec![Workload::Masstree])
-                .policies(hw_policies())
-                .rates(RateGrid::Shared(
-                    (1..=13).map(|i| i as f64 * 0.5e6).collect(),
-                ))
-                .requests(250_000, 25_000),
-            "fig7c" => ScenarioMatrix::new("fig7c", 73)
-                .workloads(vec![
-                    Workload::Synthetic(SyntheticKind::Fixed),
-                    Workload::Synthetic(SyntheticKind::Gev),
-                ])
-                .policies(hw_policies())
-                .requests(250_000, 25_000),
-            "fig8" => ScenarioMatrix::new("fig8", 88)
-                .workloads(
-                    SyntheticKind::ALL
-                        .iter()
-                        .map(|&k| Workload::Synthetic(k))
-                        .collect(),
-                )
-                .policies(vec![Policy::hw_single_queue(), Policy::sw_single_queue()])
-                .rates(RateGrid::Shared(
-                    (1..=14).map(|i| i as f64 * 1.4e6).collect(),
-                ))
-                .requests(250_000, 25_000),
-            "ablation_outstanding" => ScenarioMatrix::new("ablation_outstanding", 95)
-                .workloads(vec![
-                    Workload::Herd,
-                    Workload::Synthetic(SyntheticKind::Fixed),
-                ])
-                .policies(vec![
-                    Policy::HwSingleQueue {
-                        outstanding_per_core: 1,
-                    },
-                    Policy::HwSingleQueue {
-                        outstanding_per_core: 2,
-                    },
-                ])
-                .requests(250_000, 25_000),
-            "ablation_dispatcher" => ScenarioMatrix::new("ablation_dispatcher", 96)
-                .workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
-                .policies(vec![Policy::hw_single_queue()])
-                .rates(RateGrid::Shared(vec![10.0e6, 18.0e6]))
-                .requests(150_000, 15_000),
-            "ablation_preemption" => {
-                let hw = [
-                    Policy::hw_static(),
-                    Policy::hw_partitioned(),
-                    Policy::hw_single_queue(),
-                ];
-                ScenarioMatrix::new("ablation_preemption", 77)
-                    .workloads(vec![Workload::Masstree])
-                    .policy_specs(
-                        hw.iter()
-                            .flat_map(|p| {
-                                [
-                                    PolicySpec::Sim(p.clone()),
-                                    PolicySpec::SimPreempt(
-                                        p.clone(),
-                                        PreemptionParams::shinjuku_5us(),
-                                    ),
-                                ]
-                            })
-                            .collect(),
-                    )
-                    .rates(RateGrid::Shared(vec![2.0e6, 4.0e6]))
-                    .requests(200_000, 20_000)
-            }
-            "ablation_emulated" => ScenarioMatrix::new("ablation_emulated", 78)
-                .workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
-                .policy_specs(vec![
-                    PolicySpec::Sim(Policy::hw_static()),
-                    PolicySpec::SimEmulatedNic(Policy::hw_static()),
-                ])
-                .rates(RateGrid::Shared(
-                    (1..=10).map(|i| i as f64 * 1.95e6).collect(),
-                ))
-                .requests(250_000, 25_000),
-            "latency_breakdown" => ScenarioMatrix::new("latency_breakdown", 111)
-                .service_workloads(vec![(
-                    "exp600".to_owned(),
-                    ServiceDist::exponential_mean_ns(600.0),
-                )])
-                .policies(vec![
-                    Policy::hw_single_queue(),
-                    Policy::hw_partitioned(),
-                    Policy::hw_static(),
-                ])
-                .rates(RateGrid::Shared(
-                    [20u32, 50, 80]
-                        .iter()
-                        .map(|&pct| pct as f64 / 100.0 * 19.5e6)
-                        .collect(),
-                ))
-                .requests(100_000, 10_000)
-                .fixed_seed()
-                .trace(50_000),
-            "sens_slots" => ScenarioMatrix::new("sens_slots", 101)
-                .service_workloads(vec![(
-                    "exp600".to_owned(),
-                    ServiceDist::exponential_mean_ns(600.0),
-                )])
-                .policy_specs(
-                    [1usize, 2, 4, 8, 16, 32]
-                        .iter()
-                        .map(|&slots| PolicySpec::SimTuned {
-                            policy: Policy::hw_single_queue(),
-                            tune: SimTune {
-                                send_slots_per_node: Some(slots),
-                                cluster_nodes: Some(8),
-                                ..SimTune::default()
-                            },
-                        })
-                        .collect(),
-                )
-                .rates(RateGrid::Shared(vec![18.0e6]))
-                .requests(120_000, 12_000)
-                .fixed_seed(),
-            "sens_mtu" => ScenarioMatrix::new("sens_mtu", 102)
-                .service_workloads(vec![(
-                    "fixed600".to_owned(),
-                    ServiceDist::fixed_ns(600.0),
-                )])
-                .policy_specs(
-                    [64u64, 256, 1024, 4096]
-                        .iter()
-                        .map(|&mtu| PolicySpec::SimTuned {
-                            policy: Policy::hw_single_queue(),
-                            tune: SimTune {
-                                mtu_bytes: Some(mtu),
-                                request_bytes: Some(1024),
-                                ..SimTune::default()
-                            },
-                        })
-                        .collect(),
-                )
-                .rates(RateGrid::Shared(vec![1.0e6]))
-                .requests(30_000, 3_000)
-                .fixed_seed(),
-            "sens_mcs" => ScenarioMatrix::new("sens_mcs", 103)
-                .service_workloads(vec![(
-                    "exp600".to_owned(),
-                    ServiceDist::exponential_mean_ns(600.0),
-                )])
-                .policies(
-                    [30u64, 60, 90, 150, 250]
-                        .iter()
-                        .map(|&handoff_ns| Policy::SwSingleQueue {
-                            lock: McsParams {
-                                acquire_uncontended: SimDuration::from_ns(15),
-                                handoff: SimDuration::from_ns(handoff_ns),
-                                critical_section: SimDuration::from_ns(45),
-                            },
-                        })
-                        .collect(),
-                )
-                .rates(RateGrid::Shared(vec![12.0e6]))
-                .requests(120_000, 12_000)
-                .fixed_seed(),
-            "sens_threshold" => ScenarioMatrix::new("sens_threshold", 104)
-                .service_workloads(vec![(
-                    "exp600".to_owned(),
-                    ServiceDist::exponential_mean_ns(600.0),
-                )])
-                .policies(
-                    [1u32, 2, 4, 8]
-                        .iter()
-                        .map(|&threshold| Policy::HwSingleQueue {
-                            outstanding_per_core: threshold,
-                        })
-                        .collect(),
-                )
-                .rates(RateGrid::Shared(vec![17.0e6]))
-                .requests(120_000, 12_000)
-                .fixed_seed(),
-            "sens_live" => ScenarioMatrix::new("sens_live", 105)
-                .workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
-                .policy_specs(vec![
-                    PolicySpec::Live(
-                        LivePolicy::Partitioned { groups: 1 },
-                        LiveParams::default(),
-                    ),
-                    PolicySpec::Live(
-                        LivePolicy::Partitioned { groups: 2 },
-                        LiveParams::default(),
-                    ),
-                    PolicySpec::Live(LivePolicy::Replenish, LiveParams::default()),
-                    PolicySpec::Live(
-                        LivePolicy::Replenish,
-                        LiveParams {
-                            replenish_batch: 4,
-                            ..LiveParams::default()
-                        },
-                    ),
-                ])
-                .rates(RateGrid::Shared(vec![0.85]))
-                .requests(1_000, 100),
-            "live_smoke" => ScenarioMatrix::new("live_smoke", 7)
-                .workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
-                .live_policies(
-                    vec![
-                        LivePolicy::SingleQueue,
-                        LivePolicy::RssStatic,
-                        LivePolicy::Replenish,
-                    ],
-                    LiveParams::default(),
-                )
-                .rates(RateGrid::Shared(vec![0.5, 0.85]))
-                .requests(1_200, 120),
-            // The cluster serving tier (§6's live analogue, grown to N
-            // nodes): the same policy axis as `live_smoke` — the
-            // paper's p99 ordering single ≤ partitioned ≤ RSS should
-            // survive each failure mode — behind the client-side
-            // balancer with a failure injected mid-run. Every job
-            // asserts zero lost requests; redirect frames show up in
-            // the `flow_control_deferrals` column.
-            "live_cluster" => live_cluster_matrix(
-                "live_cluster",
-                205,
-                ClusterPlan::new(3).failure(live::FailureMode::Migrate),
-            ),
-            "live_churn" => live_cluster_matrix(
-                "live_churn",
-                206,
-                ClusterPlan::new(2).failure(live::FailureMode::Churn),
-            ),
-            "live_drain" => live_cluster_matrix(
-                "live_drain",
-                207,
-                ClusterPlan::new(3).failure(live::FailureMode::Drain),
-            ),
-            _ => return None,
-        };
-        Some(matrix)
+        NAMED_MATRICES
+            .iter()
+            .find(|&&(known, ..)| known == name)
+            .map(|&(name, seed, build)| build(ScenarioMatrix::new(name, seed)))
     }
 
-    /// Names accepted by [`ScenarioMatrix::named`].
-    pub fn known_names() -> &'static [&'static str] {
-        &[
-            "fig2a",
-            "fig2b",
-            "fig2c",
-            "fig6",
-            "fig7a",
-            "fig7b",
-            "fig7c",
-            "fig8",
-            "ablation_outstanding",
-            "ablation_dispatcher",
-            "ablation_preemption",
-            "ablation_emulated",
-            "latency_breakdown",
-            "sens_slots",
-            "sens_mtu",
-            "sens_mcs",
-            "sens_threshold",
-            "sens_live",
-            "live_smoke",
-            "live_cluster",
-            "live_churn",
-            "live_drain",
-        ]
+    /// Names accepted by [`ScenarioMatrix::named`], in table order.
+    pub fn known_names() -> Vec<&'static str> {
+        NAMED_MATRICES.iter().map(|&(name, ..)| name).collect()
     }
+}
+
+/// Shapes a fresh `ScenarioMatrix::new(name, seed)` into a predefined
+/// matrix.
+type Build = fn(ScenarioMatrix) -> ScenarioMatrix;
+
+/// Every predefined matrix as `(name, master seed, builder)`: the one
+/// table behind both [`ScenarioMatrix::named`] and
+/// [`ScenarioMatrix::known_names`].
+const NAMED_MATRICES: &[(&str, u64, Build)] = &[
+    ("fig2a", 2019, |m| {
+        m.service_workloads(fig2_services(&[SyntheticKind::Exponential]))
+            .model_policies(QxU::FIG2A_CONFIGS.to_vec())
+            .rates(fig2_loads())
+            .requests(400_000, 40_000)
+    }),
+    ("fig2b", 2019, |m| {
+        m.service_workloads(fig2_services(&SyntheticKind::ALL))
+            .model_policies(vec![QxU::SINGLE_16])
+            .rates(fig2_loads())
+            .requests(400_000, 40_000)
+    }),
+    ("fig2c", 2019, |m| {
+        m.service_workloads(fig2_services(&SyntheticKind::ALL))
+            .model_policies(vec![QxU::PARTITIONED_16])
+            .rates(fig2_loads())
+            .requests(400_000, 40_000)
+    }),
+    ("fig6", 66, |m| {
+        m.workloads(vec![
+            Workload::Synthetic(SyntheticKind::Fixed),
+            Workload::Synthetic(SyntheticKind::Uniform),
+            Workload::Synthetic(SyntheticKind::Exponential),
+            Workload::Synthetic(SyntheticKind::Gev),
+            Workload::Herd,
+            Workload::Masstree,
+        ])
+        .policies(vec![Policy::hw_single_queue()])
+        .requests(100_000, 10_000)
+    }),
+    ("fig7a", 71, |m| {
+        m.workloads(vec![Workload::Herd])
+            .policies(hw_policies())
+            .requests(250_000, 25_000)
+    }),
+    ("fig7b", 72, |m| {
+        m.workloads(vec![Workload::Masstree])
+            .policies(hw_policies())
+            .rates(RateGrid::Shared(
+                (1..=13).map(|i| i as f64 * 0.5e6).collect(),
+            ))
+            .requests(250_000, 25_000)
+    }),
+    ("fig7c", 73, |m| {
+        m.workloads(vec![
+            Workload::Synthetic(SyntheticKind::Fixed),
+            Workload::Synthetic(SyntheticKind::Gev),
+        ])
+        .policies(hw_policies())
+        .requests(250_000, 25_000)
+    }),
+    ("fig8", 88, |m| {
+        m.workloads(
+            SyntheticKind::ALL
+                .iter()
+                .map(|&k| Workload::Synthetic(k))
+                .collect(),
+        )
+        .policies(vec![Policy::hw_single_queue(), Policy::sw_single_queue()])
+        .rates(RateGrid::Shared(
+            (1..=14).map(|i| i as f64 * 1.4e6).collect(),
+        ))
+        .requests(250_000, 25_000)
+    }),
+    ("ablation_outstanding", 95, |m| {
+        m.workloads(vec![
+            Workload::Herd,
+            Workload::Synthetic(SyntheticKind::Fixed),
+        ])
+        .policies(vec![
+            Policy::HwSingleQueue {
+                outstanding_per_core: 1,
+            },
+            Policy::HwSingleQueue {
+                outstanding_per_core: 2,
+            },
+        ])
+        .requests(250_000, 25_000)
+    }),
+    ("ablation_dispatcher", 96, |m| {
+        m.workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
+            .policies(vec![Policy::hw_single_queue()])
+            .rates(RateGrid::Shared(vec![10.0e6, 18.0e6]))
+            .requests(150_000, 15_000)
+    }),
+    ("ablation_preemption", 77, |m| {
+        m.workloads(vec![Workload::Masstree])
+            .policy_specs(
+                hw_policies()
+                    .into_iter()
+                    .flat_map(|p| {
+                        [
+                            PolicySpec::Sim(p.clone()),
+                            PolicySpec::SimPreempt(p, PreemptionParams::shinjuku_5us()),
+                        ]
+                    })
+                    .collect(),
+            )
+            .rates(RateGrid::Shared(vec![2.0e6, 4.0e6]))
+            .requests(200_000, 20_000)
+    }),
+    ("ablation_emulated", 78, |m| {
+        m.workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
+            .policy_specs(vec![
+                PolicySpec::Sim(Policy::hw_static()),
+                PolicySpec::SimEmulatedNic(Policy::hw_static()),
+            ])
+            .rates(RateGrid::Shared(
+                (1..=10).map(|i| i as f64 * 1.95e6).collect(),
+            ))
+            .requests(250_000, 25_000)
+    }),
+    ("latency_breakdown", 111, |m| {
+        m.service_workloads(vec![(
+            "exp600".to_owned(),
+            ServiceDist::exponential_mean_ns(600.0),
+        )])
+        .policies(vec![
+            Policy::hw_single_queue(),
+            Policy::hw_partitioned(),
+            Policy::hw_static(),
+        ])
+        .rates(RateGrid::Shared(
+            [20u32, 50, 80]
+                .iter()
+                .map(|&pct| pct as f64 / 100.0 * 19.5e6)
+                .collect(),
+        ))
+        .requests(100_000, 10_000)
+        .fixed_seed()
+        .trace(50_000)
+    }),
+    ("sens_slots", 101, |m| {
+        m.service_workloads(vec![(
+            "exp600".to_owned(),
+            ServiceDist::exponential_mean_ns(600.0),
+        )])
+        .policy_specs(
+            [1usize, 2, 4, 8, 16, 32]
+                .iter()
+                .map(|&slots| PolicySpec::SimTuned {
+                    policy: Policy::hw_single_queue(),
+                    tune: SimTune {
+                        send_slots_per_node: Some(slots),
+                        cluster_nodes: Some(8),
+                        ..SimTune::default()
+                    },
+                })
+                .collect(),
+        )
+        .rates(RateGrid::Shared(vec![18.0e6]))
+        .requests(120_000, 12_000)
+        .fixed_seed()
+    }),
+    ("sens_mtu", 102, |m| {
+        m.service_workloads(vec![(
+            "fixed600".to_owned(),
+            ServiceDist::fixed_ns(600.0),
+        )])
+        .policy_specs(
+            [64u64, 256, 1024, 4096]
+                .iter()
+                .map(|&mtu| PolicySpec::SimTuned {
+                    policy: Policy::hw_single_queue(),
+                    tune: SimTune {
+                        mtu_bytes: Some(mtu),
+                        request_bytes: Some(1024),
+                        ..SimTune::default()
+                    },
+                })
+                .collect(),
+        )
+        .rates(RateGrid::Shared(vec![1.0e6]))
+        .requests(30_000, 3_000)
+        .fixed_seed()
+    }),
+    ("sens_mcs", 103, |m| {
+        m.service_workloads(vec![(
+            "exp600".to_owned(),
+            ServiceDist::exponential_mean_ns(600.0),
+        )])
+        .policies(
+            [30u64, 60, 90, 150, 250]
+                .iter()
+                .map(|&handoff_ns| Policy::SwSingleQueue {
+                    lock: McsParams {
+                        acquire_uncontended: SimDuration::from_ns(15),
+                        handoff: SimDuration::from_ns(handoff_ns),
+                        critical_section: SimDuration::from_ns(45),
+                    },
+                })
+                .collect(),
+        )
+        .rates(RateGrid::Shared(vec![12.0e6]))
+        .requests(120_000, 12_000)
+        .fixed_seed()
+    }),
+    ("sens_threshold", 104, |m| {
+        m.service_workloads(vec![(
+            "exp600".to_owned(),
+            ServiceDist::exponential_mean_ns(600.0),
+        )])
+        .policies(
+            [1u32, 2, 4, 8]
+                .iter()
+                .map(|&threshold| Policy::HwSingleQueue {
+                    outstanding_per_core: threshold,
+                })
+                .collect(),
+        )
+        .rates(RateGrid::Shared(vec![17.0e6]))
+        .requests(120_000, 12_000)
+        .fixed_seed()
+    }),
+    ("sens_live", 105, |m| {
+        m.workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
+            .policy_specs(vec![
+                PolicySpec::Live(
+                    LivePolicy::Partitioned { groups: 1 },
+                    LiveParams::default(),
+                ),
+                PolicySpec::Live(
+                    LivePolicy::Partitioned { groups: 2 },
+                    LiveParams::default(),
+                ),
+                PolicySpec::Live(LivePolicy::Replenish, LiveParams::default()),
+                PolicySpec::Live(
+                    LivePolicy::Replenish,
+                    LiveParams {
+                        replenish_batch: 4,
+                        ..LiveParams::default()
+                    },
+                ),
+            ])
+            .rates(RateGrid::Shared(vec![0.85]))
+            .requests(1_000, 100)
+    }),
+    ("live_smoke", 7, |m| {
+        m.workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
+            .live_policies(
+                vec![
+                    LivePolicy::SingleQueue,
+                    LivePolicy::RssStatic,
+                    LivePolicy::Replenish,
+                ],
+                LiveParams::default(),
+            )
+            .rates(RateGrid::Shared(vec![0.5, 0.85]))
+            .requests(1_200, 120)
+    }),
+    // The cluster serving tier (§6's live analogue, grown to N nodes):
+    // the same policy axis as `live_smoke` — the paper's p99 ordering
+    // single ≤ partitioned ≤ RSS should survive each failure mode —
+    // behind the client-side balancer with a failure injected mid-run.
+    // Every job asserts zero lost requests; redirect frames show up in
+    // the `flow_control_deferrals` column.
+    ("live_cluster", 205, |m| {
+        live_cluster(m, ClusterPlan::new(3).failure(live::FailureMode::Migrate))
+    }),
+    ("live_churn", 206, |m| {
+        live_cluster(m, ClusterPlan::new(2).failure(live::FailureMode::Churn))
+    }),
+    ("live_drain", 207, |m| {
+        live_cluster(m, ClusterPlan::new(3).failure(live::FailureMode::Drain))
+    }),
+];
+
+/// The three hardware dispatch policies, in the figures' legend order.
+fn hw_policies() -> Vec<Policy> {
+    vec![
+        Policy::hw_static(),
+        Policy::hw_partitioned(),
+        Policy::hw_single_queue(),
+    ]
+}
+
+/// Fig. 2's grid: loads from 5 % to 95 % in 5 % steps.
+fn fig2_loads() -> RateGrid {
+    RateGrid::Shared((1..=19).map(|i| i as f64 * 0.05).collect())
+}
+
+/// Fig. 2's workload axis: each kind's normalized distribution.
+fn fig2_services(kinds: &[SyntheticKind]) -> Vec<(String, ServiceDist)> {
+    kinds
+        .iter()
+        .map(|&k| (k.label().to_owned(), k.normalized()))
+        .collect()
 }
 
 /// The shared shape of the three cluster scenarios (`live_cluster`,
 /// `live_churn`, `live_drain`): one exponential workload, the
 /// single-queue/partitioned/RSS policy axis under `plan`, 70 % of total
 /// tier capacity. Only the node count, failure mode, and seed differ.
-fn live_cluster_matrix(name: &str, seed: u64, plan: ClusterPlan) -> ScenarioMatrix {
+fn live_cluster(m: ScenarioMatrix, plan: ClusterPlan) -> ScenarioMatrix {
     // 4 sleep-burn workers per node so the policy axis gets distinct
     // shapes (1x4 / 2x2 / 4x1) — with the default 2, partitioned:2
     // degenerates into RSS. Sleeping workers cost no CPU, but the
@@ -1398,8 +1399,7 @@ fn live_cluster_matrix(name: &str, seed: u64, plan: ClusterPlan) -> ScenarioMatr
         cluster: Some(cluster),
         ..LiveParams::default()
     };
-    ScenarioMatrix::new(name, seed)
-        .workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
+    m.workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
         .policy_specs(vec![
             PolicySpec::Live(LivePolicy::SingleQueue, params(plan)),
             PolicySpec::Live(LivePolicy::Partitioned { groups: 2 }, params(plan)),
@@ -1464,7 +1464,7 @@ mod tests {
     fn named_matrices_expand() {
         for name in ScenarioMatrix::known_names() {
             let m = ScenarioMatrix::named(name).unwrap();
-            assert_eq!(&m.name, name);
+            assert_eq!(m.name, name);
             assert!(!m.jobs().is_empty(), "{name} expands to jobs");
         }
         assert!(ScenarioMatrix::named("fig99").is_none());
@@ -1475,6 +1475,10 @@ mod tests {
         let m = ScenarioMatrix::named("fig7a").unwrap().quick();
         assert_eq!(m.requests, 31_250);
         assert_eq!(m.warmup, 3_125);
+        // Live matrices are already tiny: `--quick` must not inflate
+        // them to the 5 000-request floor.
+        let live = ScenarioMatrix::named("live_smoke").unwrap().quick();
+        assert_eq!((live.requests, live.warmup), (1_200, 120));
     }
 
     #[test]

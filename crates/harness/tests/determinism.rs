@@ -111,41 +111,6 @@ fn queueing_jobs_identical_across_thread_counts() {
 }
 
 #[test]
-fn ladder_queue_reports_match_heap_reference_bit_for_bit() {
-    // The PR 3 contract: swapping the simulator core onto the
-    // allocation-free ladder/calendar event queue (now the default) must
-    // not change a single output bit. Re-run every job of the standard
-    // determinism fixture with the event queue forced back to the
-    // reference heap and compare all recorded metrics exactly.
-    let matrix = small_matrix();
-    let (report, _) = run_matrix(&matrix, 4);
-    for (job, spec) in report.jobs.iter().zip(matrix.jobs()) {
-        let workload = spec.workload.named().expect("sim fixture");
-        let mut cfg = scenario_config(
-            workload,
-            match job.policy.as_str() {
-                "1x16" => Policy::hw_single_queue(),
-                "16x1" => Policy::hw_static(),
-                other => panic!("unexpected fixture policy {other}"),
-            },
-            job.rate_rps,
-            job.seed,
-        );
-        cfg.requests = job.requests;
-        cfg.warmup = job.warmup;
-        cfg.event_queue = simkit::EventQueueKind::Heap;
-        let heap = ServerSim::new(cfg).run();
-        assert_eq!(heap.p99_latency_ns, job.p99_latency_ns, "{job:?}");
-        assert_eq!(heap.p50_latency_ns, job.p50_latency_ns);
-        assert_eq!(heap.mean_latency_ns, job.mean_latency_ns);
-        assert_eq!(heap.throughput_rps, job.throughput_rps);
-        assert_eq!(heap.measured, job.measured);
-        assert_eq!(heap.load_balance_jain, job.load_balance_jain);
-        assert_eq!(heap.flow_control_deferrals, job.flow_control_deferrals);
-    }
-}
-
-#[test]
 fn report_json_roundtrip_preserves_everything() {
     let (report, _) = run_matrix(&small_matrix(), 2);
     let back = harness::SweepReport::from_json(&report.to_json_pretty()).unwrap();

@@ -1,9 +1,9 @@
-//! Load-imbalance metrics across cores.
+//! Load imbalance across cores.
 //!
-//! The whole point of RPCValet is evening out per-core load; these
-//! metrics quantify how uneven an assignment actually was. Jain's
-//! fairness index is 1.0 for a perfectly even split and `1/n` when one
-//! core of `n` receives everything.
+//! The whole point of RPCValet is evening out per-core load; Jain's
+//! fairness index quantifies how uneven an assignment actually was: 1.0
+//! for a perfectly even split and `1/n` when one core of `n` receives
+//! everything.
 
 /// Jain's fairness index over per-entity totals:
 /// `(Σx)² / (n · Σx²)`, in `(0, 1]`.
@@ -30,37 +30,6 @@ pub fn jain_index(x: &[f64]) -> f64 {
     sum * sum / (n as f64 * sum_sq)
 }
 
-/// Max-over-mean imbalance factor: 1.0 when perfectly even, `n` when one
-/// of `n` entities takes everything. Returns 1.0 for empty/all-zero
-/// input.
-pub fn max_over_mean(x: &[f64]) -> f64 {
-    let n = x.len();
-    if n == 0 {
-        return 1.0;
-    }
-    let sum: f64 = x.iter().sum();
-    if sum == 0.0 {
-        return 1.0;
-    }
-    let mean = sum / n as f64;
-    x.iter().cloned().fold(0.0, f64::max) / mean
-}
-
-/// Coefficient of variation across entities (σ/µ); 0 when perfectly
-/// even. Returns 0.0 for empty/all-zero input.
-pub fn load_cv(x: &[f64]) -> f64 {
-    let n = x.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mean = x.iter().sum::<f64>() / n as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-    var.sqrt() / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,19 +48,5 @@ mod tests {
         let a = jain_index(&[1.0, 2.0, 3.0]);
         let b = jain_index(&[10.0, 20.0, 30.0]);
         assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_over_mean_basics() {
-        assert_eq!(max_over_mean(&[2.0, 2.0]), 1.0);
-        assert_eq!(max_over_mean(&[4.0, 0.0, 0.0, 0.0]), 4.0);
-        assert_eq!(max_over_mean(&[]), 1.0);
-    }
-
-    #[test]
-    fn cv_basics() {
-        assert_eq!(load_cv(&[3.0, 3.0, 3.0]), 0.0);
-        assert!(load_cv(&[0.0, 10.0]) > 0.9);
-        assert_eq!(load_cv(&[]), 0.0);
     }
 }

@@ -6,7 +6,8 @@
 //! * [`LatencyHistogram`] — a log-bucketed histogram (HdrHistogram-style)
 //!   with bounded relative error, for very long runs;
 //! * [`Summary`] — streaming mean/variance/min/max (Welford);
-//! * [`percentile`] — exact percentiles over sample vectors;
+//! * [`quantiles_unsorted`] — exact percentiles over sample vectors, by
+//!   selection, with the sort-based [`percentile_ns`] as its reference;
 //! * [`slo`] — throughput-under-SLO extraction from latency/load curves,
 //!   the paper's headline metric (§5: "throughput under a 99th-percentile
 //!   SLO of 10× the mean service time");
@@ -34,7 +35,6 @@
 
 pub mod accounting;
 pub mod breakdown;
-pub mod cdf;
 pub mod digest;
 pub mod fairness;
 pub mod histogram;
@@ -45,14 +45,10 @@ pub mod summary;
 
 pub use accounting::RequestAccounting;
 pub use breakdown::LatencyBreakdown;
-pub use cdf::{Cdf, CdfPoint};
 pub use digest::Digest64;
 pub use fairness::jain_index;
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
-pub use percentile::{
-    percentile, percentile_mut, percentile_ns, percentile_ns_mut, quantiles_of_sorted,
-    quantiles_unsorted, sort_samples,
-};
+pub use percentile::{percentile_ns, quantiles_unsorted};
 pub use series::{CurvePoint, LatencyCurve};
 pub use slo::{throughput_under_slo, SloSpec};
 pub use summary::Summary;

@@ -2,39 +2,26 @@
 //!
 //! For the queueing-model runs (hundreds of thousands of samples) exact
 //! percentiles are cheap and remove bucketing error from the comparisons
-//! against theory in Fig. 9.
+//! against theory in Fig. 9. [`quantiles_unsorted`] is the one production
+//! routine; [`percentile_ns`] is the sort-based reference it is tested
+//! against.
 
-use simkit::SimDuration;
-
-/// The `q`-quantile of `samples` using the nearest-rank method on a copy
-/// of the data.
+/// Exact `q`-quantile of f64 nanosecond samples using the nearest-rank
+/// method on a sorted copy of the data.
 ///
 /// Nearest-rank matches the paper's "99th percentile latency": the
 /// smallest recorded value ≥ 99 % of all values.
 ///
 /// # Panics
-/// Panics if `samples` is empty or `q` is outside `[0, 1]`.
+/// Panics if `samples` is empty, contains NaN, or `q` is out of range.
 ///
 /// # Example
 /// ```
-/// use metrics::percentile;
-/// use simkit::SimDuration;
-/// let xs: Vec<SimDuration> = (1..=100).map(SimDuration::from_ns).collect();
-/// assert_eq!(percentile(&xs, 0.99).as_ns(), 99);
-/// assert_eq!(percentile(&xs, 1.0).as_ns(), 100);
+/// use metrics::percentile_ns;
+/// let xs: Vec<f64> = (1..=100).map(|v| v as f64).collect();
+/// assert_eq!(percentile_ns(&xs, 0.99), 99.0);
+/// assert_eq!(percentile_ns(&xs, 1.0), 100.0);
 /// ```
-pub fn percentile(samples: &[SimDuration], q: f64) -> SimDuration {
-    assert!(!samples.is_empty(), "percentile of empty sample set");
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    let mut sorted: Vec<SimDuration> = samples.to_vec();
-    sorted.sort_unstable();
-    sorted[rank(sorted.len(), q)]
-}
-
-/// Exact `q`-quantile of f64 nanosecond samples (nearest-rank).
-///
-/// # Panics
-/// Panics if `samples` is empty, contains NaN, or `q` is out of range.
 pub fn percentile_ns(samples: &[f64], q: f64) -> f64 {
     assert!(!samples.is_empty(), "percentile of empty sample set");
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
@@ -52,69 +39,6 @@ fn rank(n: usize, q: f64) -> usize {
     r.clamp(1, n) - 1
 }
 
-/// In-place variant of [`percentile`] that avoids the copy; sorts `samples`.
-pub fn percentile_mut(samples: &mut [SimDuration], q: f64) -> SimDuration {
-    assert!(!samples.is_empty(), "percentile of empty sample set");
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    samples.sort_unstable();
-    samples[rank(samples.len(), q)]
-}
-
-/// In-place variant of [`percentile_ns`]: sorts `samples` once and
-/// returns the `q`-quantile. Callers needing several quantiles should
-/// sort via this (or [`sort_samples`]) and then use
-/// [`quantiles_of_sorted`] instead of re-sorting per quantile.
-///
-/// # Panics
-/// Panics if `samples` is empty, contains NaN, or `q` is out of range.
-pub fn percentile_ns_mut(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of empty sample set");
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    sort_samples(samples);
-    samples[rank(samples.len(), q)]
-}
-
-/// Sorts f64 nanosecond samples into the exact order the percentile
-/// functions use (ascending; NaN is a panic, not a position).
-///
-/// # Panics
-/// Panics if `samples` contains NaN.
-pub fn sort_samples(samples: &mut [f64]) {
-    samples
-        .sort_unstable_by(|a, b| a.partial_cmp(b).expect("samples must not contain NaN"));
-}
-
-/// Extracts several nearest-rank quantiles from **already sorted**
-/// samples with no further work per quantile — the hot-path alternative
-/// to calling [`percentile_ns`] once per quantile, which clones and
-/// sorts the whole sample set each time. Returns one value per entry of
-/// `qs`, equal to what [`percentile_ns`] would return for that quantile.
-///
-/// # Panics
-/// Panics if `sorted` is empty or any quantile is out of `[0, 1]`; debug
-/// builds also panic if `sorted` is not actually sorted.
-///
-/// # Example
-/// ```
-/// use metrics::{quantiles_of_sorted, sort_samples};
-/// let mut xs: Vec<f64> = (1..=100).rev().map(|v| v as f64).collect();
-/// sort_samples(&mut xs);
-/// assert_eq!(quantiles_of_sorted(&xs, &[0.5, 0.9, 0.99]), vec![50.0, 90.0, 99.0]);
-/// ```
-pub fn quantiles_of_sorted(sorted: &[f64], qs: &[f64]) -> Vec<f64> {
-    assert!(!sorted.is_empty(), "percentile of empty sample set");
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "quantiles_of_sorted requires sorted samples"
-    );
-    qs.iter()
-        .map(|&q| {
-            assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-            sorted[rank(sorted.len(), q)]
-        })
-        .collect()
-}
-
 /// Extracts several nearest-rank quantiles from **unsorted** samples in
 /// `O(n)` total via repeated `select_nth_unstable` on narrowing
 /// prefixes, reordering `samples` in place. Returns exactly the values
@@ -126,6 +50,13 @@ pub fn quantiles_of_sorted(sorted: &[f64], qs: &[f64]) -> Vec<f64> {
 /// # Panics
 /// Panics if `samples` is empty, contains NaN, or a quantile is out of
 /// `[0, 1]`.
+///
+/// # Example
+/// ```
+/// use metrics::quantiles_unsorted;
+/// let mut xs: Vec<f64> = (1..=100).rev().map(|v| v as f64).collect();
+/// assert_eq!(quantiles_unsorted(&mut xs, &[0.5, 0.9, 0.99]), vec![50.0, 90.0, 99.0]);
+/// ```
 pub fn quantiles_unsorted(samples: &mut [f64], qs: &[f64]) -> Vec<f64> {
     assert!(!samples.is_empty(), "percentile of empty sample set");
     // Select from the highest rank down; each selection partitions the
@@ -155,30 +86,19 @@ pub fn quantiles_unsorted(samples: &mut [f64], qs: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
 
-    fn ns_vec(vals: &[u64]) -> Vec<SimDuration> {
-        vals.iter().copied().map(SimDuration::from_ns).collect()
-    }
-
     #[test]
     fn nearest_rank_basics() {
-        let xs = ns_vec(&[10, 20, 30, 40, 50]);
-        assert_eq!(percentile(&xs, 0.0).as_ns(), 10);
-        assert_eq!(percentile(&xs, 0.2).as_ns(), 10);
-        assert_eq!(percentile(&xs, 0.21).as_ns(), 20);
-        assert_eq!(percentile(&xs, 0.5).as_ns(), 30);
-        assert_eq!(percentile(&xs, 1.0).as_ns(), 50);
+        let xs = [10.0, 20.0, 30.0, 40.0, 50.0];
+        assert_eq!(percentile_ns(&xs, 0.0), 10.0);
+        assert_eq!(percentile_ns(&xs, 0.2), 10.0);
+        assert_eq!(percentile_ns(&xs, 0.21), 20.0);
+        assert_eq!(percentile_ns(&xs, 0.5), 30.0);
+        assert_eq!(percentile_ns(&xs, 1.0), 50.0);
     }
 
     #[test]
     fn unsorted_input_ok() {
-        let xs = ns_vec(&[50, 10, 40, 30, 20]);
-        assert_eq!(percentile(&xs, 0.5).as_ns(), 30);
-    }
-
-    #[test]
-    fn p99_of_hundred() {
-        let xs: Vec<SimDuration> = (1..=100).map(SimDuration::from_ns).collect();
-        assert_eq!(percentile(&xs, 0.99).as_ns(), 99);
+        assert_eq!(percentile_ns(&[50.0, 10.0, 40.0, 30.0, 20.0], 0.5), 30.0);
     }
 
     #[test]
@@ -189,76 +109,28 @@ mod tests {
     }
 
     #[test]
-    fn percentile_mut_sorts() {
-        let mut xs = ns_vec(&[3, 1, 2]);
-        assert_eq!(percentile_mut(&mut xs, 1.0).as_ns(), 3);
-        assert_eq!(xs, ns_vec(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn multi_quantile_extraction_matches_per_quantile_sorts() {
-        // Adversarial-ish data: duplicates, reversed runs, tiny values.
-        let xs: Vec<f64> = (0..500)
-            .map(|i| ((i * 7919) % 97) as f64 / 3.0)
-            .collect();
-        let qs = [0.0, 0.5, 0.9, 0.99, 1.0];
-        let mut sorted = xs.clone();
-        sort_samples(&mut sorted);
-        let multi = quantiles_of_sorted(&sorted, &qs);
-        for (q, got) in qs.iter().zip(&multi) {
-            assert_eq!(*got, percentile_ns(&xs, *q), "quantile {q}");
-        }
-    }
-
-    #[test]
-    fn unsorted_selection_matches_full_sorts() {
-        let xs: Vec<f64> = (0..2_000)
-            .map(|i| ((i * 6007) % 251) as f64 / 7.0)
-            .collect();
-        for qs in [
-            vec![0.99, 0.5],
-            vec![0.5, 0.9, 0.99],
-            vec![0.0, 1.0, 0.37],
-            vec![0.75],
-        ] {
-            let mut scratch = xs.clone();
-            let got = quantiles_unsorted(&mut scratch, &qs);
-            for (q, v) in qs.iter().zip(&got) {
-                assert_eq!(*v, percentile_ns(&xs, *q), "quantile {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn percentile_ns_mut_sorts_in_place() {
-        let mut xs = vec![3.0, 1.0, 2.0];
-        assert_eq!(percentile_ns_mut(&mut xs, 1.0), 3.0);
-        assert_eq!(xs, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "empty sample set")]
     fn multi_quantile_empty_panics() {
-        quantiles_of_sorted(&[], &[0.5]);
+        quantiles_unsorted(&mut [], &[0.5]);
     }
 
     #[test]
     fn single_sample() {
-        let xs = ns_vec(&[7]);
         for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(percentile(&xs, q).as_ns(), 7);
+            assert_eq!(percentile_ns(&[7.0], q), 7.0);
+            assert_eq!(quantiles_unsorted(&mut [7.0], &[q]), vec![7.0]);
         }
     }
 
     #[test]
     #[should_panic(expected = "empty sample set")]
     fn empty_panics() {
-        percentile(&[], 0.5);
+        percentile_ns(&[], 0.5);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_quantile_panics() {
-        percentile(&[SimDuration::ZERO], 1.5);
+        percentile_ns(&[0.0], 1.5);
     }
 }

@@ -75,13 +75,6 @@ impl LatencyCurve {
             .fold(0.0, f64::max)
     }
 
-    /// Iterates points as `(throughput_rps, p99_ns)` pairs.
-    pub fn throughput_p99(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.points
-            .iter()
-            .map(|p| (p.throughput_rps, p.p99_latency_ns))
-    }
-
     /// True if the curve has no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
@@ -115,8 +108,6 @@ mod tests {
         c.push(pt(0.9, 8.5e6, 4_000.0));
         assert_eq!(c.len(), 3);
         assert_eq!(c.peak_throughput_rps(), 8.5e6);
-        let pairs: Vec<_> = c.throughput_p99().collect();
-        assert_eq!(pairs[1], (5e6, 900.0));
     }
 
     #[test]

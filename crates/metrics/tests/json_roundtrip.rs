@@ -47,14 +47,6 @@ fn json_field_names_are_stable() {
 }
 
 #[test]
-fn cdf_serializes() {
-    let cdf = metrics::Cdf::standard(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-    let json = serde_json::to_string(&cdf).unwrap();
-    let back: metrics::Cdf = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, cdf);
-}
-
-#[test]
 fn curves_vector_roundtrips() {
     // fig2/fig7 write Vec<LatencyCurve>; make sure the aggregate shape
     // holds too.

@@ -2,12 +2,12 @@
 
 use simkit::SimDuration;
 
-/// Default per-hop router+link traversal latency (Table 1: 3 cycles/hop
-/// at 2 GHz).
-pub const DEFAULT_HOP_CYCLES: u64 = 3;
-/// Default link width in bytes (Table 1: 16-byte links); one flit per
-/// cycle crosses a link.
-pub const DEFAULT_LINK_BYTES: u64 = 16;
+/// Per-hop router+link traversal latency (Table 1: 3 cycles/hop at
+/// 2 GHz).
+pub const HOP_CYCLES: u64 = 3;
+/// Link width in bytes (Table 1: 16-byte links); one flit per cycle
+/// crosses a link.
+pub const LINK_BYTES: u64 = 16;
 
 /// A flat tile index into a mesh (row-major order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,48 +36,21 @@ impl std::fmt::Display for TileId {
 pub struct Mesh {
     cols: usize,
     rows: usize,
-    hop_cycles: u64,
-    link_bytes: u64,
 }
 
 impl Mesh {
-    /// Creates a mesh with the paper's default hop latency and link width.
+    /// Creates a mesh with the paper's hop latency and link width.
     ///
     /// # Panics
     /// Panics if either dimension is zero.
     pub fn new(cols: usize, rows: usize) -> Self {
         assert!(cols > 0 && rows > 0, "mesh dimensions must be positive");
-        Mesh {
-            cols,
-            rows,
-            hop_cycles: DEFAULT_HOP_CYCLES,
-            link_bytes: DEFAULT_LINK_BYTES,
-        }
+        Mesh { cols, rows }
     }
 
     /// The 4×4 mesh of the paper's 16-core chip.
     pub fn new_4x4() -> Self {
         Mesh::new(4, 4)
-    }
-
-    /// Overrides the per-hop latency in cycles.
-    ///
-    /// # Panics
-    /// Panics if `cycles` is zero.
-    pub fn with_hop_cycles(mut self, cycles: u64) -> Self {
-        assert!(cycles > 0, "hop latency must be positive");
-        self.hop_cycles = cycles;
-        self
-    }
-
-    /// Overrides the link width in bytes.
-    ///
-    /// # Panics
-    /// Panics if `bytes` is zero.
-    pub fn with_link_bytes(mut self, bytes: u64) -> Self {
-        assert!(bytes > 0, "link width must be positive");
-        self.link_bytes = bytes;
-        self
     }
 
     /// Number of columns.
@@ -122,22 +95,15 @@ impl Mesh {
 
     /// Latency for the head flit to travel `from → to`.
     pub fn head_latency(&self, from: TileId, to: TileId) -> SimDuration {
-        SimDuration::from_cycles(self.hops(from, to) * self.hop_cycles)
+        SimDuration::from_cycles(self.hops(from, to) * HOP_CYCLES)
     }
 
     /// End-to-end latency of a `payload_bytes` transfer: head-flit routing
     /// plus pipeline serialization of the remaining flits (one flit per
     /// cycle on the final link).
     pub fn transfer_latency(&self, from: TileId, to: TileId, payload_bytes: u64) -> SimDuration {
-        let flits = payload_bytes.div_ceil(self.link_bytes).max(1);
+        let flits = payload_bytes.div_ceil(LINK_BYTES).max(1);
         self.head_latency(from, to) + SimDuration::from_cycles(flits - 1)
-    }
-
-    /// The average hop count from a tile to all tiles in the mesh
-    /// (including itself), useful for calibrating "a few ns" constants.
-    pub fn mean_hops_from(&self, from: TileId) -> f64 {
-        let total: u64 = (0..self.tiles()).map(|i| self.hops(from, TileId(i))).sum();
-        total as f64 / self.tiles() as f64
     }
 }
 
@@ -171,8 +137,6 @@ mod tests {
         let m = Mesh::new_4x4();
         // 6 hops * 3 cycles = 18 cycles = 9 ns.
         assert_eq!(m.head_latency(TileId(0), TileId(15)).as_ns_f64(), 9.0);
-        let fast = Mesh::new(4, 4).with_hop_cycles(1);
-        assert_eq!(fast.head_latency(TileId(0), TileId(15)).as_ns_f64(), 3.0);
     }
 
     #[test]
@@ -191,15 +155,6 @@ mod tests {
         let m = Mesh::new_4x4();
         let same = m.transfer_latency(TileId(3), TileId(3), 64);
         assert_eq!(same.as_cycles(), 3);
-    }
-
-    #[test]
-    fn mean_hops_center_vs_corner() {
-        let m = Mesh::new_4x4();
-        let corner = m.mean_hops_from(TileId(0));
-        let center = m.mean_hops_from(m.tile_at(1, 1));
-        assert!(center < corner, "center {center} should beat corner {corner}");
-        assert!((corner - 3.0).abs() < 1e-12, "corner mean hops {corner}");
     }
 
     #[test]

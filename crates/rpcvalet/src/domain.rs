@@ -123,11 +123,6 @@ impl MessagingDomain {
         self.used[source]
     }
 
-    /// True if `source` has no free slots left.
-    pub fn is_exhausted(&self, source: usize) -> bool {
-        self.in_use(source) == self.slots_per_node
-    }
-
     /// Total memory footprint of the mechanism in bytes, per the paper's
     /// formula: `32·N·S + (max_msg_size + 64)·N·S`.
     pub fn memory_footprint_bytes(&self) -> u64 {
@@ -147,10 +142,10 @@ mod tests {
         let a = d.try_acquire(1).unwrap();
         let b = d.try_acquire(1).unwrap();
         assert_ne!(a, b);
-        assert!(d.is_exhausted(1));
+        assert_eq!(d.in_use(1), 2, "both slots taken");
         assert_eq!(d.try_acquire(1), None);
         d.release(1, a);
-        assert!(!d.is_exhausted(1));
+        assert_eq!(d.in_use(1), 1);
         assert_eq!(d.try_acquire(1), Some(a));
     }
 

@@ -66,8 +66,8 @@ pub mod trace;
 pub use dispatch::Policy;
 pub use domain::MessagingDomain;
 pub use mcs::McsParams;
-pub use trace::{RequestTrace, TraceLog};
+pub use trace::TraceLog;
 pub use system::{
     PreemptionParams, RequestSchedule, RunResult, ServerSim, SystemConfig, SystemConfigBuilder,
-    PREFETCH_BLOCK,
+    LADDER_HORIZON, PREFETCH_BLOCK,
 };

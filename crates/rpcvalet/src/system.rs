@@ -19,7 +19,7 @@ use dist::ServiceDist;
 use metrics::{quantiles_unsorted, Summary};
 use rand::Rng;
 use simkit::rng::stream_rng;
-use simkit::{Engine, EventQueueKind, SimDuration, SimTime};
+use simkit::{Engine, SimDuration, SimTime};
 use sonuma::{packets_for, Arrival, ChipParams, NiBackend, TrafficGenerator};
 
 use crate::dispatch::{rss_core_for_source, Dispatcher, Policy};
@@ -27,7 +27,7 @@ use crate::domain::MessagingDomain;
 use crate::mcs::McsLock;
 use crate::reassembly::ReassemblyTable;
 use crate::slab::{MsgList, MsgSlab, MsgState, NIL};
-use crate::trace::{PendingTrace, RequestTrace, TraceLog};
+use crate::trace::{PendingTrace, TraceLog};
 
 /// Parameters for Shinjuku-style preemptive scheduling (§7 sketches the
 /// combination: "A system combining Shinjuku and RPCValet would
@@ -66,6 +66,16 @@ impl PreemptionParams {
 /// scalar per-sample arithmetic — blocking moves *when* the draws
 /// happen, never *what* they compute.
 pub const PREFETCH_BLOCK: usize = 256;
+
+/// Near-future window of the simulator's ladder event queue. 16 µs keeps
+/// the overflow heap cold even against the *tail* of a sub-µs RPC
+/// workload's lookahead: an exponential 600 ns service exceeds a 4 µs
+/// window ~e⁻⁶ of the time (hundreds of spills per million requests) but
+/// exceeds 16 µs with probability ~e⁻²⁷ — never, at any realistic request
+/// count. The ladder pops in the heap's bit-identical order, so the
+/// horizon trades speed only, and the wider window also wins on raw
+/// throughput (fewer ring-skip scans per pop).
+pub const LADDER_HORIZON: SimDuration = SimDuration::from_us(16);
 
 /// A recorded arrival schedule: the replay input for
 /// `harness trace --replay`, where a captured trace (typically a live
@@ -193,11 +203,6 @@ pub struct SystemConfig {
     /// flow affinity) instead of assigning each *message* uniformly at
     /// random (the paper's 16×1 queueing abstraction). Default `false`.
     pub rss_per_flow: bool,
-    /// Event-queue backend. Defaults to the allocation-free ladder
-    /// ([`EventQueueKind::default_ladder`]); both backends pop in
-    /// bit-identical order, so this knob trades speed only — the heap is
-    /// the reference the system-level equivalence tests compare against.
-    pub event_queue: EventQueueKind,
 }
 
 impl SystemConfig {
@@ -237,7 +242,6 @@ impl SystemConfigBuilder {
                 series_interval: None,
                 critical_threshold_ns: None,
                 rss_per_flow: false,
-                event_queue: EventQueueKind::default_ladder(),
             },
         }
     }
@@ -350,13 +354,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Selects the event-queue backend (see
-    /// [`SystemConfig::event_queue`]).
-    pub fn event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.config.event_queue = kind;
-        self
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Panics
@@ -454,11 +451,10 @@ pub struct RunResult {
     /// tracing is off and slots recycle.
     pub slab_high_water: usize,
     /// Events the ladder event queue routed to its far-future overflow
-    /// heap on push (always 0 for the heap backend). Zero on a
-    /// well-sized steady-state run — the rolling window absorbs every
-    /// in-horizon schedule without touching the heap; a persistent
-    /// non-zero count means the workload's lookahead exceeds the
-    /// configured ladder horizon (see [`simkit::QueueStats`]).
+    /// heap on push. Zero on a well-sized steady-state run — the rolling
+    /// window absorbs every in-horizon schedule without touching the
+    /// heap; a persistent non-zero count means the workload's lookahead
+    /// exceeds [`LADDER_HORIZON`] (see [`simkit::QueueStats`]).
     pub queue_overflow_pushes: u64,
     /// Events migrated back from the ladder's overflow heap into the
     /// near window (the matching drain side of
@@ -547,10 +543,10 @@ struct RunScratch {
     latency_samples: Vec<f64>,
     critical_samples: Vec<f64>,
     pending_traces: Vec<PendingTrace>,
-    /// The previous run's engine (keyed by its queue backend), so a
-    /// sweep's later load points reuse the ladder's ring allocations via
-    /// [`Engine::reset`] instead of rebuilding 512 rings per run.
-    engine: Option<(EventQueueKind, Engine<Ev>)>,
+    /// The previous run's engine, so a sweep's later load points reuse
+    /// the ladder's ring allocations via [`Engine::reset`] instead of
+    /// rebuilding 512 rings per run.
+    engine: Option<Engine<Ev>>,
 }
 
 thread_local! {
@@ -828,11 +824,11 @@ impl<'a> Runner<'a> {
         scratch.critical_samples.clear();
         scratch.pending_traces.clear();
         let engine = match scratch.engine.take() {
-            Some((kind, mut engine)) if kind == cfg.event_queue => {
+            Some(mut engine) => {
                 engine.reset();
                 engine
             }
-            _ => Engine::with_kind(cfg.event_queue),
+            None => Engine::with_horizon(LADDER_HORIZON),
         };
         Runner {
             lat: LatencyCache::new(cfg),
@@ -999,7 +995,7 @@ impl<'a> Runner<'a> {
         self.scratch.msgs[msg].first_pkt = now;
         self.inflight += 1;
         if self.traces.is_enabled() {
-            self.scratch.pending_traces[msg].first_pkt = Some(now);
+            self.scratch.pending_traces[msg].arrival = Some(now);
         }
         // One message's packets drain back-to-back: a fused burst through
         // the rx pipeline plus a single whole-message counter update are
@@ -1226,15 +1222,15 @@ impl<'a> Runner<'a> {
         }
         if self.completions > self.cfg.warmup && self.traces.is_enabled() {
             let p = self.scratch.pending_traces[msg];
-            self.traces.push(RequestTrace {
-                msg: msg as u64,
+            self.traces.push(telemetry::RequestTimeline {
+                req: msg as u64,
                 src: state.src as u16,
                 core: core as u16,
-                first_pkt: p.first_pkt.expect("traced request was injected"),
-                reassembled: p.reassembled.expect("traced request reassembled"),
-                dispatched: p.dispatched.expect("traced request dispatched"),
-                started: p.started.expect("traced request started"),
-                completed: now,
+                arrival_ps: p.arrival.expect("traced request was injected").as_ps(),
+                reassembled_ps: p.reassembled.expect("traced request reassembled").as_ps(),
+                dispatched_ps: p.dispatched.expect("traced request dispatched").as_ps(),
+                started_ps: p.started.expect("traced request started").as_ps(),
+                completed_ps: now.as_ps(),
                 preemptions: p.preemptions,
             });
         }
@@ -1398,7 +1394,7 @@ impl<'a> Runner<'a> {
         let queue_stats = self.engine.queue_stats();
         let engine = std::mem::replace(&mut self.engine, Engine::new());
         let events_processed = engine.events_processed();
-        self.scratch.engine = Some((self.cfg.event_queue, engine));
+        self.scratch.engine = Some(engine);
         let measured = self.latency.count();
         let span_ns = self
             .window_end
@@ -1601,63 +1597,25 @@ mod tests {
     }
 
     #[test]
-    fn ladder_and_heap_backends_bit_identical() {
-        // The whole PR's determinism contract in one place: the
-        // allocation-free ladder queue must not change a single output
-        // bit relative to the reference heap, across every policy.
-        for policy in [
-            Policy::hw_single_queue(),
-            Policy::hw_partitioned(),
-            Policy::hw_static(),
-            Policy::sw_single_queue(),
-        ] {
-            let mut heap_cfg = base(policy.clone(), 12.0e6, 77);
-            heap_cfg.event_queue = EventQueueKind::Heap;
-            let ladder_cfg = base(policy, 12.0e6, 77); // default ladder
-            assert_eq!(
-                ladder_cfg.event_queue,
-                EventQueueKind::default_ladder(),
-                "ladder is the default backend"
-            );
-            let h = ServerSim::new(heap_cfg).run();
-            let l = ServerSim::new(ladder_cfg).run();
-            assert_eq!(h.p99_latency_ns, l.p99_latency_ns, "{}", h.label);
-            assert_eq!(h.p50_latency_ns, l.p50_latency_ns);
-            assert_eq!(h.mean_latency_ns, l.mean_latency_ns);
-            assert_eq!(h.throughput_rps, l.throughput_rps);
-            assert_eq!(h.measured, l.measured);
-            assert_eq!(h.core_completions, l.core_completions);
-            assert_eq!(h.flow_control_deferrals, l.flow_control_deferrals);
-            assert_eq!(h.events_processed, l.events_processed);
-        }
-    }
-
-    #[test]
     fn queue_stats_surface_in_run_result() {
-        // Heap backend: trivially zero.
-        let mut heap_cfg = base(Policy::hw_single_queue(), 14.0e6, 4);
-        heap_cfg.event_queue = EventQueueKind::Heap;
-        let h = ServerSim::new(heap_cfg).run();
-        assert_eq!((h.queue_overflow_pushes, h.queue_overflow_migrations), (0, 0));
-
-        // Ladder, deliberately starved horizon: every service completion
-        // (≈ 820 ns lookahead) overshoots a 100 ns window and must round-
-        // trip through the overflow heap — the counters light up and
-        // stay balanced.
-        let mut tight_cfg = base(Policy::hw_single_queue(), 2.0e6, 4);
-        tight_cfg.requests = 5_000;
-        tight_cfg.warmup = 500;
-        tight_cfg.event_queue = EventQueueKind::Ladder {
-            horizon: simkit::SimDuration::from_ns(100),
-        };
-        let t = ServerSim::new(tight_cfg).run();
+        // Masstree's 1 % scans take 60–120 µs, so their completions are
+        // scheduled past the 16 µs horizon and must round-trip through
+        // the overflow heap — the counters light up and stay balanced.
+        let cfg = SystemConfig::builder()
+            .service(dist::workload_models::masstree())
+            .rate_rps(2.0e6)
+            .requests(20_000)
+            .warmup(2_000)
+            .seed(4)
+            .build();
+        let r = ServerSim::new(cfg).run();
         assert!(
-            t.queue_overflow_pushes > 1_000,
-            "starved horizon must overflow, pushes {}",
-            t.queue_overflow_pushes
+            r.queue_overflow_pushes > 0,
+            "scans outrun the horizon, pushes {}",
+            r.queue_overflow_pushes
         );
         assert_eq!(
-            t.queue_overflow_pushes, t.queue_overflow_migrations,
+            r.queue_overflow_pushes, r.queue_overflow_migrations,
             "a drained run migrates every overflowed event back"
         );
     }
@@ -1796,9 +1754,9 @@ mod tests {
             let total = t.reassembly_ns() + t.dispatch_ns() + t.core_queue_ns() + t.processing_ns();
             assert!((total - t.total_ns()).abs() < 1e-6);
             // Monotone timeline.
-            assert!(t.first_pkt <= t.reassembled);
-            assert!(t.reassembled <= t.dispatched);
-            assert!(t.started <= t.completed);
+            assert!(t.arrival_ps <= t.reassembled_ps);
+            assert!(t.reassembled_ps <= t.dispatched_ps);
+            assert!(t.started_ps <= t.completed_ps);
         }
         let (re, di, _cq, pr) = r.traces.component_means_ns();
         assert!(re < 20.0, "reassembly of a 1-packet request is a few ns: {re}");

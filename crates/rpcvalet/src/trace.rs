@@ -1,97 +1,20 @@
 //! Per-request timeline tracing.
 //!
 //! When enabled ([`crate::SystemConfig::trace_capacity`] > 0), the
-//! simulator records a [`RequestTrace`] for the first `capacity`
+//! simulator records a [`RequestTimeline`] for the first `capacity`
 //! measured requests: every hop of the §4.2/§4.3 pipeline with its
-//! timestamp. Traces answer "where did the time go" questions that
-//! aggregate percentiles cannot — e.g. how much of a slow request's
-//! latency was reassembly vs shared-CQ queueing vs core queueing.
+//! timestamp, in the vocabulary the live tier's traces use. Traces
+//! answer "where did the time go" questions that aggregate percentiles
+//! cannot — e.g. how much of a slow request's latency was reassembly vs
+//! shared-CQ queueing vs core queueing.
 
 use simkit::SimTime;
-use telemetry::{Hop, TraceEvent};
-
-/// Timeline of one request through the server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestTrace {
-    /// Message index (arrival order).
-    pub msg: u64,
-    /// Source node id.
-    pub src: u16,
-    /// Core that completed the request.
-    pub core: u16,
-    /// First packet reception at the NI backend.
-    pub first_pkt: SimTime,
-    /// All packets written + counter matched (§4.2).
-    pub reassembled: SimTime,
-    /// CQE written into the completing core's private CQ.
-    pub dispatched: SimTime,
-    /// Core began processing (final slice, if preempted).
-    pub started: SimTime,
-    /// Replenish posted — the latency endpoint.
-    pub completed: SimTime,
-    /// Times this request was preempted.
-    pub preemptions: u16,
-}
-
-impl RequestTrace {
-    /// Network + reassembly time (first packet → message complete).
-    pub fn reassembly_ns(&self) -> f64 {
-        self.reassembled.duration_since(self.first_pkt).as_ns_f64()
-    }
-
-    /// Dispatch-path time (message complete → CQE at the core),
-    /// including any shared-CQ queueing.
-    pub fn dispatch_ns(&self) -> f64 {
-        self.dispatched.duration_since(self.reassembled).as_ns_f64()
-    }
-
-    /// Core-side queueing (CQE delivered → processing started). Nonzero
-    /// when the request waited behind another in the private CQ, or was
-    /// preempted and rejoined later.
-    pub fn core_queue_ns(&self) -> f64 {
-        self.started
-            .saturating_duration_since(self.dispatched)
-            .as_ns_f64()
-    }
-
-    /// Processing time (start of final slice → replenish post).
-    pub fn processing_ns(&self) -> f64 {
-        self.completed.duration_since(self.started).as_ns_f64()
-    }
-
-    /// Total measured latency.
-    pub fn total_ns(&self) -> f64 {
-        self.completed.duration_since(self.first_pkt).as_ns_f64()
-    }
-
-    /// Emits this timeline as unified [`telemetry`] events, namespaced
-    /// under `req` (callers combining jobs into one store pass
-    /// `job_index << 40 | msg`). Preemptions are emitted as count-only
-    /// events stamped at the final slice's start (the simulator records
-    /// how often a request was preempted, not when).
-    pub fn append_events(&self, req: u64, out: &mut Vec<TraceEvent>) {
-        let ev = |hop, t: SimTime, core| TraceEvent {
-            req,
-            hop,
-            t_ps: t.as_ps(),
-            src: self.src,
-            core,
-        };
-        out.push(ev(Hop::Arrival, self.first_pkt, 0));
-        out.push(ev(Hop::Reassembled, self.reassembled, 0));
-        out.push(ev(Hop::Dispatched, self.dispatched, self.core));
-        for _ in 0..self.preemptions {
-            out.push(ev(Hop::Preempted, self.started, self.core));
-        }
-        out.push(ev(Hop::Started, self.started, self.core));
-        out.push(ev(Hop::Completed, self.completed, self.core));
-    }
-}
+use telemetry::RequestTimeline;
 
 /// Builder state for one in-flight request's trace.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PendingTrace {
-    pub first_pkt: Option<SimTime>,
+    pub arrival: Option<SimTime>,
     pub reassembled: Option<SimTime>,
     pub dispatched: Option<SimTime>,
     pub started: Option<SimTime>,
@@ -101,9 +24,8 @@ pub(crate) struct PendingTrace {
 /// A bounded collection of completed request traces.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
-    records: Vec<RequestTrace>,
+    records: Vec<RequestTimeline>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl TraceLog {
@@ -112,7 +34,6 @@ impl TraceLog {
         TraceLog {
             records: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
-            dropped: 0,
         }
     }
 
@@ -122,22 +43,15 @@ impl TraceLog {
     }
 
     /// Appends a completed trace, dropping it if the log is full.
-    pub fn push(&mut self, trace: RequestTrace) {
+    pub fn push(&mut self, trace: RequestTimeline) {
         if self.records.len() < self.capacity {
             self.records.push(trace);
-        } else {
-            self.dropped += 1;
         }
     }
 
     /// The recorded traces, in completion order.
-    pub fn records(&self) -> &[RequestTrace] {
+    pub fn records(&self) -> &[RequestTimeline] {
         &self.records
-    }
-
-    /// Traces that did not fit.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Mean of each latency component over the recorded traces, as
@@ -169,47 +83,24 @@ impl TraceLog {
         });
         (sum.0 / count, sum.1 / count, sum.2 / count, sum.3 / count)
     }
-
-    /// Emits every recorded timeline as unified [`telemetry`] events
-    /// (completion order, each request's hops grouped), request ids
-    /// offset by `req_base`.
-    pub fn append_events(&self, req_base: u64, out: &mut Vec<TraceEvent>) {
-        for trace in &self.records {
-            trace.append_events(req_base | trace.msg, out);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn t(ns: u64) -> SimTime {
-        SimTime::from_ns(ns)
-    }
-
-    fn trace(msg: u64) -> RequestTrace {
-        RequestTrace {
-            msg,
+    fn trace(req: u64) -> RequestTimeline {
+        RequestTimeline {
+            req,
             src: 3,
             core: 7,
-            first_pkt: t(100),
-            reassembled: t(110),
-            dispatched: t(120),
-            started: t(150),
-            completed: t(1_000),
+            arrival_ps: 100_000,
+            reassembled_ps: 110_000,
+            dispatched_ps: 120_000,
+            started_ps: 150_000,
+            completed_ps: 1_000_000,
             preemptions: 0,
         }
-    }
-
-    #[test]
-    fn component_arithmetic() {
-        let tr = trace(0);
-        assert_eq!(tr.reassembly_ns(), 10.0);
-        assert_eq!(tr.dispatch_ns(), 10.0);
-        assert_eq!(tr.core_queue_ns(), 30.0);
-        assert_eq!(tr.processing_ns(), 850.0);
-        assert_eq!(tr.total_ns(), 900.0);
     }
 
     #[test]
@@ -220,7 +111,6 @@ mod tests {
             log.push(trace(i));
         }
         assert_eq!(log.records().len(), 2);
-        assert_eq!(log.dropped(), 3);
     }
 
     #[test]
@@ -250,7 +140,7 @@ mod tests {
         let mut large = TraceLog::with_capacity(10);
         for i in 0..3 {
             let mut t = trace(i);
-            t.completed = SimTime::from_ns(1_000 + i * 500); // vary the mix
+            t.completed_ps = 1_000_000 + i * 500_000; // vary the mix
             small.push(t);
             large.push(t);
         }
@@ -260,43 +150,5 @@ mod tests {
             "enlarged capacity must reproduce the baked-capacity means"
         );
         assert_eq!(large.component_means_first_ns(99), large.component_means_ns());
-    }
-
-    #[test]
-    fn emits_unified_events() {
-        let mut tr = trace(5);
-        tr.preemptions = 2;
-        let mut events = Vec::new();
-        tr.append_events((3 << 40) | 5, &mut events);
-        assert_eq!(events.len(), 7, "5 hops + 2 preemptions");
-        assert!(events.iter().all(|e| e.req == (3 << 40) | 5));
-        assert_eq!(
-            events.iter().filter(|e| e.hop == Hop::Preempted).count(),
-            2
-        );
-        // The telemetry summary must reconstruct the same components.
-        let assembled = telemetry::assemble_timelines(&events);
-        assert_eq!(assembled.timelines.len(), 1);
-        let tl = &assembled.timelines[0];
-        assert_eq!(tl.reassembly_ns(), tr.reassembly_ns());
-        assert_eq!(tl.dispatch_ns(), tr.dispatch_ns());
-        assert_eq!(tl.core_queue_ns(), tr.core_queue_ns());
-        assert_eq!(tl.processing_ns(), tr.processing_ns());
-        assert_eq!(tl.total_ns(), tr.total_ns());
-        assert_eq!(tl.preemptions, 2);
-        assert_eq!(tl.src, tr.src);
-        assert_eq!(tl.core, tr.core);
-    }
-
-    #[test]
-    fn log_emission_namespaces_by_base() {
-        let mut log = TraceLog::with_capacity(4);
-        log.push(trace(0));
-        log.push(trace(1));
-        let mut events = Vec::new();
-        log.append_events(7 << 40, &mut events);
-        assert_eq!(events.len(), 10);
-        assert_eq!(events[0].req, 7 << 40);
-        assert_eq!(events[5].req, (7 << 40) | 1);
     }
 }

@@ -23,7 +23,7 @@
 //! assert_eq!(engine.now().as_ns(), 10);
 //! ```
 
-use crate::event::{EventQueue, EventQueueKind, QueueStats, Scheduled};
+use crate::event::{EventQueue, QueueStats, Scheduled};
 use crate::time::{SimDuration, SimTime};
 
 /// A simulation clock and event queue.
@@ -41,21 +41,19 @@ impl<E> Engine<E> {
     /// Creates an engine with the clock at [`SimTime::ZERO`], on the
     /// reference heap-backed queue.
     pub fn new() -> Self {
-        Self::with_kind(EventQueueKind::Heap)
+        Self::on(EventQueue::new())
     }
 
     /// Creates an engine on the allocation-free ladder queue with the
     /// given near-future horizon (see [`EventQueue::with_horizon`]).
     pub fn with_horizon(horizon: SimDuration) -> Self {
-        Self::with_kind(EventQueueKind::Ladder { horizon })
+        Self::on(EventQueue::with_horizon(horizon))
     }
 
-    /// Creates an engine on the given queue backend. Both backends pop in
-    /// bit-identical order, so the choice affects speed only.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
+    fn on(queue: EventQueue<E>) -> Self {
         Engine {
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(kind),
+            queue,
             processed: 0,
         }
     }
@@ -79,12 +77,6 @@ impl<E> Engine<E> {
     #[inline]
     pub fn events_processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Queue-backend telemetry counters (see [`QueueStats`]); all-zero on
@@ -122,18 +114,6 @@ impl<E> Engine<E> {
         self.now = scheduled.time;
         self.processed += 1;
         Some(scheduled)
-    }
-
-    /// The firing time of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// True if no events are pending.
-    #[inline]
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -175,8 +155,8 @@ mod tests {
     fn schedule_at_absolute() {
         let mut e = Engine::new();
         e.schedule_at(SimTime::from_ns(42), ());
-        assert_eq!(e.peek_time(), Some(SimTime::from_ns(42)));
-        assert_eq!(e.pending(), 1);
+        assert_eq!(e.pop().map(|s| s.time), Some(SimTime::from_ns(42)));
+        assert_eq!(e.now(), SimTime::from_ns(42));
     }
 
     #[test]
@@ -234,6 +214,6 @@ mod tests {
         e.reset();
         assert_eq!(e.now(), SimTime::ZERO);
         assert_eq!(e.events_processed(), 0);
-        assert!(e.is_idle());
+        assert!(e.pop().is_none());
     }
 }

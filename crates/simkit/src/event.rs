@@ -7,16 +7,17 @@
 //!
 //! Two backends implement the same contract:
 //!
-//! * a binary heap ([`EventQueue::new`]) — the reference implementation,
-//!   `O(log n)` per operation;
 //! * a two-level ladder/calendar queue ([`EventQueue::with_horizon`]) —
 //!   near-future events bucketed into reusable rings, far-future events
 //!   in an overflow heap, `O(1)` amortized per operation and
-//!   allocation-free in steady state (see [`crate::wheel`]).
+//!   allocation-free in steady state (see [`crate::wheel`]); the one
+//!   queue the simulators run on;
+//! * a binary heap ([`EventQueue::new`]) — the reference implementation,
+//!   `O(log n)` per operation, kept as the oracle the ladder is tested
+//!   against.
 //!
 //! The pop order of both backends is **bit-identical**: the smallest
-//! `(time, seq)` pair always pops first, so swapping backends can never
-//! change a simulation's output.
+//! `(time, seq)` pair always pops first.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,43 +32,6 @@ pub struct Scheduled<E> {
     pub time: SimTime,
     /// The event payload.
     pub event: E,
-}
-
-/// Selects an [`EventQueue`] backend; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventQueueKind {
-    /// The reference `BinaryHeap` backend.
-    Heap,
-    /// The ladder/calendar backend with the given near-future horizon.
-    Ladder {
-        /// Width of the bucketed near-future window. Pick a few multiples
-        /// of the typical event-scheduling lookahead; events beyond it
-        /// spill to the overflow heap (correct but slower).
-        horizon: SimDuration,
-    },
-}
-
-impl EventQueueKind {
-    /// The ladder backend with the default horizon used by the
-    /// full-system simulator. 16 µs keeps the overflow heap cold even
-    /// against the *tail* of a sub-µs RPC workload's lookahead: an
-    /// exponential 600 ns service exceeds a 4 µs window ~e⁻⁶ of the
-    /// time (hundreds of spills per million requests) but exceeds 16 µs
-    /// with probability ~e⁻²⁷ — never, at any realistic request count.
-    /// Since every backend pops in bit-identical order, the horizon
-    /// trades speed only, and the wider window also wins on raw
-    /// throughput (fewer ring-skip scans per pop).
-    pub fn default_ladder() -> Self {
-        EventQueueKind::Ladder {
-            horizon: SimDuration::from_us(16),
-        }
-    }
-}
-
-impl Default for EventQueueKind {
-    fn default() -> Self {
-        EventQueueKind::default_ladder()
-    }
 }
 
 #[derive(Debug)]
@@ -153,16 +117,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty heap-backed queue with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::with_capacity(capacity)),
-            seq: 0,
-        }
-    }
-
     /// Creates an empty queue on the ladder/calendar backend with the
-    /// given near-future `horizon` (see [`EventQueueKind::Ladder`]).
+    /// given near-future `horizon`. Pick a few multiples of the typical
+    /// event-scheduling lookahead; events beyond it spill to the overflow
+    /// heap (correct but slower).
     ///
     /// # Panics
     /// Panics if `horizon` is zero.
@@ -170,14 +128,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             backend: Backend::Ladder(LadderQueue::new(horizon)),
             seq: 0,
-        }
-    }
-
-    /// Creates an empty queue on the given backend.
-    pub fn with_kind(kind: EventQueueKind) -> Self {
-        match kind {
-            EventQueueKind::Heap => Self::new(),
-            EventQueueKind::Ladder { horizon } => Self::with_horizon(horizon),
         }
     }
 
@@ -306,9 +256,7 @@ mod tests {
 
     #[test]
     fn len_and_clear() {
-        let mut queues = both_backends();
-        queues.push(EventQueue::with_capacity(8));
-        for mut q in queues {
+        for mut q in both_backends() {
             assert!(q.is_empty());
             q.push(SimTime::ZERO, 1);
             q.push(SimTime::ZERO, 2);
@@ -330,13 +278,5 @@ mod tests {
             assert_eq!(q.pop().unwrap().event, "a");
             assert_eq!(q.pop().unwrap().event, "d");
         }
-    }
-
-    #[test]
-    fn backend_selection_by_kind() {
-        let heap: EventQueue<()> = EventQueue::with_kind(EventQueueKind::Heap);
-        let ladder: EventQueue<()> = EventQueue::with_kind(EventQueueKind::default_ladder());
-        assert!(matches!(heap.backend, Backend::Heap(_)));
-        assert!(matches!(ladder.backend, Backend::Ladder(_)));
     }
 }

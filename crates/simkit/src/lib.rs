@@ -6,9 +6,10 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-picosecond simulated time, so
 //!   event ordering is exact and reproducible (no floating-point drift).
 //! * [`EventQueue`] — a priority queue of timestamped events with a
-//!   deterministic FIFO tie-break for simultaneous events; two backends
-//!   (reference binary heap, allocation-free [`wheel`] ladder/calendar
-//!   queue) pop in bit-identical order.
+//!   deterministic FIFO tie-break for simultaneous events: the
+//!   allocation-free [`wheel`] ladder/calendar queue the simulators run
+//!   on, and the reference binary heap it pops in bit-identical order
+//!   with.
 //! * [`Engine`] — a thin driver that owns the clock and the event queue.
 //! * [`rng`] — seed-splitting utilities so that every simulated component
 //!   gets an independent, reproducible random stream.
@@ -49,5 +50,5 @@ pub mod time;
 pub mod wheel;
 
 pub use engine::Engine;
-pub use event::{EventQueue, EventQueueKind, QueueStats, Scheduled};
+pub use event::{EventQueue, QueueStats, Scheduled};
 pub use time::{SimDuration, SimTime, DEFAULT_CLOCK_GHZ};

@@ -8,7 +8,7 @@
 //! bounded lookahead past the current clock — to make both operations
 //! `O(1)` amortized with **zero allocation in steady state**:
 //!
-//! * **Near level**: a window of [`NUM_BUCKETS`] FIFO rings covering the
+//! * **Near level**: a window of `NUM_BUCKETS` (512) FIFO rings covering the
 //!   `NUM_BUCKETS` time slots starting at the cursor's slot. Slots map to
 //!   rings *modulo* `NUM_BUCKETS`, so the window **rolls forward with the
 //!   cursor**: as the live ring drains, the slot one window ahead becomes
@@ -25,7 +25,7 @@
 //!   the window re-anchors at the earliest overflow event in O(1) — no
 //!   ring is drained or refilled by the re-anchor itself.
 //!
-//! The [`stats`](LadderQueue::stats) counters record how many entries
+//! The [`stats`](crate::EventQueue::stats) counters record how many entries
 //! took the overflow path and how many were migrated back; on a
 //! steady-state workload whose scheduling lookahead fits the horizon both
 //! stay zero, which the timing sidecar surfaces as proof.

@@ -7,8 +7,6 @@
 //!
 //! * [`params::ChipParams`] — the simulated 16-core chip of Table 1, with
 //!   every latency constant documented and calibrated from the paper;
-//! * [`qp`] — Virtual Interface Architecture queue pairs (Work Queue +
-//!   Completion Queue) as bounded FIFOs with occupancy statistics;
 //! * [`message`] — node/message identifiers and cache-block (64 B MTU)
 //!   packetization, matching soNUMA's protocol that "unrolls large
 //!   requests into independent packets each carrying a single cache block
@@ -30,11 +28,9 @@ pub mod message;
 pub mod onesided;
 pub mod params;
 pub mod pipeline;
-pub mod qp;
 pub mod traffic;
 
 pub use backend::{NiBackend, SerialResource};
 pub use message::{packets_for, MsgId, NodeId};
 pub use params::ChipParams;
-pub use qp::{Fifo, QueuePair};
 pub use traffic::{Arrival, TrafficGenerator};

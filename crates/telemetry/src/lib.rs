@@ -9,7 +9,8 @@
 //!   picosecond timestamp, src/core) with a canonical 24-byte binary
 //!   encoding and an order-sensitive [`metrics::Digest64`] over it;
 //! * [`store`] — the versioned, append-only JSONL trace store:
-//!   manifest line, event lines, digest seal — verified on load;
+//!   manifest line, event lines, digest seal — verified on load (the
+//!   same sealed layout as the [`timeseries`] store);
 //! * [`ring`] — the allocation-free transport for the live hot path: a
 //!   Vyukov bounded MPMC [`EventRing`] drained by a background
 //!   [`RingFlusher`], so `valetd` never blocks on trace I/O (a full
@@ -56,6 +57,7 @@
 pub mod diff;
 pub mod event;
 pub mod ring;
+mod sealed;
 pub mod store;
 pub mod summary;
 pub mod timeseries;

@@ -4,11 +4,10 @@
 //! The live server's hot path (TCP readers, worker threads) must never
 //! block on trace I/O — a slow disk must cost *drops*, not latency. So
 //! producers [`try_push`](EventRing::try_push) into a Vyukov-style
-//! bounded MPMC ring (the shared [`ring`](::ring) crate's
-//! [`SlotRing`](::ring::SlotRing), instantiated with [`TraceEvent`]
-//! slots), and a single [`RingFlusher`] thread drains the ring into an
-//! [`EventSink`] — an in-memory `Vec` for harness-driven runs, a
-//! streaming [`TraceWriter`](crate::store::TraceWriter) for
+//! bounded MPMC ring (the shared [`ring`] crate's [`SlotRing`],
+//! instantiated with [`TraceEvent`] slots), and a single [`RingFlusher`]
+//! thread drains the ring into an [`EventSink`] — an in-memory `Vec` for
+//! harness-driven runs, a streaming [`TraceWriter`] for
 //! `valetd --trace`. When the ring is full the event is counted as
 //! dropped and the producer returns immediately.
 

@@ -1,6 +1,5 @@
-//! The versioned, append-only trace store.
-//!
-//! Layout (JSON Lines, the append-only-log-with-manifest idiom):
+//! The versioned, append-only trace store: the crate's one sealed JSON
+//! Lines layout (manifest, body, seal) with one line per hop event,
 //!
 //! ```text
 //! {"version":1,"source":"sim","label":"live_smoke","clock":"sim-ps","jobs":3}
@@ -9,24 +8,16 @@
 //! {"events":42,"dropped":0,"digest":"9f0a..."}
 //! ```
 //!
-//! The first line is the **manifest** (who produced this, on what
-//! clock), the last line is the **seal** (event count, drops, and a
-//! [`metrics::Digest64`] over the canonical binary encoding of every
-//! event in order). A store without its seal is an interrupted capture;
-//! a store whose recomputed digest disagrees with its seal is corrupt.
-//! Readers verify both.
-//!
-//! Writers only ever append — there is no in-place mutation — so a
-//! capture that dies mid-run leaves a prefix that is still parseable up
-//! to its last complete line.
+//! sealed with the event count, the producer's drops, and the digest over
+//! the canonical binary encoding of every event in order
+//! ([`crate::event::digest_events`]).
 
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Hop, TraceEvent};
+use crate::sealed::{self, Seal, SealedWriter};
 
 /// Store format version, bumped on any layout change.
 pub const STORE_VERSION: u32 = 1;
@@ -38,7 +29,7 @@ pub const CLOCK_SIM_PS: &str = "sim-ps";
 pub const CLOCK_MONO_PS: &str = "mono-ps";
 
 /// Descriptive metadata recorded in the store manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceMeta {
     /// Producer: `"sim"` or `"live"`.
     pub source: String,
@@ -74,15 +65,6 @@ impl TraceMeta {
 }
 
 #[derive(Serialize, Deserialize)]
-struct ManifestLine {
-    version: u32,
-    source: String,
-    label: String,
-    clock: String,
-    jobs: u64,
-}
-
-#[derive(Serialize, Deserialize)]
 struct EventLine {
     req: u64,
     hop: String,
@@ -92,17 +74,29 @@ struct EventLine {
 }
 
 #[derive(Serialize, Deserialize)]
-struct SealLine {
+struct TraceSeal {
     events: u64,
     dropped: u64,
     digest: String,
+}
+
+impl Seal for TraceSeal {
+    const ITEMS: &'static str = "events";
+
+    fn count(&self) -> u64 {
+        self.events
+    }
+
+    fn digest(&self) -> &str {
+        &self.digest
+    }
 }
 
 /// Streaming store writer: manifest on creation, one line per
 /// [`append`](TraceWriter::append), seal on
 /// [`finish`](TraceWriter::finish).
 pub struct TraceWriter {
-    out: BufWriter<File>,
+    out: SealedWriter,
     digest: metrics::Digest64,
     events: u64,
     dropped: u64,
@@ -111,17 +105,8 @@ pub struct TraceWriter {
 impl TraceWriter {
     /// Creates the store file and writes its manifest.
     pub fn create(path: &Path, meta: &TraceMeta) -> std::io::Result<TraceWriter> {
-        let mut out = BufWriter::new(File::create(path)?);
-        let manifest = ManifestLine {
-            version: STORE_VERSION,
-            source: meta.source.clone(),
-            label: meta.label.clone(),
-            clock: meta.clock.clone(),
-            jobs: meta.jobs,
-        };
-        writeln!(out, "{}", serde_json::to_string(&manifest).map_err(bad_json)?)?;
         Ok(TraceWriter {
-            out,
+            out: SealedWriter::create(path, STORE_VERSION, meta)?,
             digest: metrics::Digest64::new(),
             events: 0,
             dropped: 0,
@@ -133,14 +118,13 @@ impl TraceWriter {
     pub fn append(&mut self, event: &TraceEvent) -> std::io::Result<()> {
         self.digest.write_bytes(&event.encode());
         self.events += 1;
-        let line = EventLine {
+        self.out.line(&EventLine {
             req: event.req,
             hop: event.hop.label().to_owned(),
             t_ps: event.t_ps,
             src: event.src,
             core: event.core,
-        };
-        writeln!(self.out, "{}", serde_json::to_string(&line).map_err(bad_json)?)
+        })
     }
 
     /// Records events the producer had to drop (full ring).
@@ -154,21 +138,15 @@ impl TraceWriter {
     }
 
     /// Writes the seal and flushes. Returns the sealed digest (hex).
-    pub fn finish(mut self) -> std::io::Result<String> {
+    pub fn finish(self) -> std::io::Result<String> {
         let digest = self.digest.hex();
-        let seal = SealLine {
+        self.out.seal(&TraceSeal {
             events: self.events,
             dropped: self.dropped,
             digest: digest.clone(),
-        };
-        writeln!(self.out, "{}", serde_json::to_string(&seal).map_err(bad_json)?)?;
-        self.out.flush()?;
+        })?;
         Ok(digest)
     }
-}
-
-fn bad_json(err: serde_json::Error) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string())
 }
 
 /// A fully loaded and verified trace store.
@@ -188,36 +166,16 @@ impl TraceStore {
     /// Loads and verifies a store: manifest version, seal presence,
     /// event count, and digest must all check out.
     pub fn load(path: &Path) -> Result<TraceStore, String> {
-        let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut lines = BufReader::new(file).lines();
-
-        let manifest_line = lines
-            .next()
-            .ok_or_else(|| format!("{}: empty store", path.display()))?
-            .map_err(|e| e.to_string())?;
-        let manifest: ManifestLine = serde_json::from_str(&manifest_line)
-            .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
-        if manifest.version != STORE_VERSION {
-            return Err(format!(
-                "{}: store version {} (this build reads {STORE_VERSION})",
-                path.display(),
-                manifest.version
-            ));
-        }
-
-        let mut events = Vec::new();
-        let mut seal: Option<SealLine> = None;
-        for line in lines {
-            let line = line.map_err(|e| e.to_string())?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if seal.is_some() {
-                return Err(format!("{}: data after seal", path.display()));
-            }
-            if let Ok(ev) = serde_json::from_str::<EventLine>(&line) {
-                let hop = Hop::from_label(&ev.hop)
-                    .ok_or_else(|| format!("{}: unknown hop `{}`", path.display(), ev.hop))?;
+        let (meta, events, seal) = sealed::load(
+            path,
+            "store",
+            STORE_VERSION,
+            |events: &mut Vec<TraceEvent>, line| {
+                let Ok(ev) = EventLine::deserialize(line) else {
+                    return Ok(false);
+                };
+                let hop =
+                    Hop::from_label(&ev.hop).ok_or_else(|| format!("unknown hop `{}`", ev.hop))?;
                 events.push(TraceEvent {
                     req: ev.req,
                     hop,
@@ -225,43 +183,21 @@ impl TraceStore {
                     src: ev.src,
                     core: ev.core,
                 });
-            } else if let Ok(s) = serde_json::from_str::<SealLine>(&line) {
-                seal = Some(s);
-            } else {
-                return Err(format!("{}: unparseable line: {line}", path.display()));
-            }
-        }
-        let seal = seal.ok_or_else(|| {
-            format!("{}: missing seal (interrupted capture?)", path.display())
-        })?;
-
-        if seal.events != events.len() as u64 {
-            return Err(format!(
-                "{}: seal says {} events, store holds {}",
-                path.display(),
-                seal.events,
-                events.len()
-            ));
-        }
-        let recomputed = crate::event::digest_events(&events).hex();
-        if recomputed != seal.digest {
-            return Err(format!(
-                "{}: digest mismatch (seal {}, recomputed {recomputed}) — store is corrupt",
-                path.display(),
-                seal.digest
-            ));
-        }
-
-        Ok(TraceStore {
-            meta: TraceMeta {
-                source: manifest.source,
-                label: manifest.label,
-                clock: manifest.clock,
-                jobs: manifest.jobs,
+                Ok(true)
             },
+            |events| {
+                let digest = crate::event::digest_events(events).hex();
+                (events.len() as u64, digest)
+            },
+        )?;
+        let TraceSeal {
+            dropped, digest, ..
+        } = seal;
+        Ok(TraceStore {
+            meta,
             events,
-            dropped: seal.dropped,
-            digest: seal.digest,
+            dropped,
+            digest,
         })
     }
 }

@@ -64,6 +64,29 @@ impl RequestTimeline {
     pub fn total_ns(&self) -> f64 {
         (self.completed_ps - self.arrival_ps) as f64 / PS_PER_NS
     }
+
+    /// Emits this timeline as hop events under request id `req`
+    /// (multi-job stores pass `job_index << 40 | self.req`) — the inverse
+    /// of [`assemble_timelines`]. Preemptions are emitted as count-only
+    /// events stamped at the final slice's start (the simulator records
+    /// how often a request was preempted, not when).
+    pub fn append_events(&self, req: u64, out: &mut Vec<TraceEvent>) {
+        let ev = |hop, t_ps, core| TraceEvent {
+            req,
+            hop,
+            t_ps,
+            src: self.src,
+            core,
+        };
+        out.push(ev(Hop::Arrival, self.arrival_ps, 0));
+        out.push(ev(Hop::Reassembled, self.reassembled_ps, 0));
+        out.push(ev(Hop::Dispatched, self.dispatched_ps, self.core));
+        for _ in 0..self.preemptions {
+            out.push(ev(Hop::Preempted, self.started_ps, self.core));
+        }
+        out.push(ev(Hop::Started, self.started_ps, self.core));
+        out.push(ev(Hop::Completed, self.completed_ps, self.core));
+    }
 }
 
 /// The outcome of folding a raw event stream into timelines.
@@ -346,6 +369,22 @@ mod tests {
         let t = &trace.timelines[0];
         assert_eq!(t.preemptions, 1);
         assert_eq!(t.started_ps, 200_000, "final slice wins");
+    }
+
+    #[test]
+    fn emitted_events_reassemble_to_the_same_timeline() {
+        let mut t = assemble_timelines(&events_for(5, 0)).timelines[0];
+        t.preemptions = 2;
+        let mut events = Vec::new();
+        t.append_events((3 << 40) | 5, &mut events);
+        assert_eq!(events.len(), 7, "5 hops + 2 preemptions");
+        assert!(events.iter().all(|e| e.req == (3 << 40) | 5));
+        let back = assemble_timelines(&events).timelines[0];
+        let renamed = RequestTimeline {
+            req: (3 << 40) | 5,
+            ..t
+        };
+        assert_eq!(back, renamed);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! ≈ 0 in steady state and flags warm-up transients or accounting
 //! bugs otherwise.
 //!
-//! The store follows the repo's append-only-log-with-manifest idiom
-//! (JSON Lines):
+//! The store is the same sealed JSON Lines layout as the trace store
+//! ([`crate::store`]), one header line per job series followed by its
+//! windows:
 //!
 //! ```text
 //! {"version":1,"source":"sim","label":"fig8","clock":"sim-ps","interval_ps":…,"jobs":2}
@@ -30,13 +31,12 @@
 //! job order, so simulator stores are byte-identical for any worker
 //! thread count — the same determinism contract as the trace store.
 
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use metrics::{Digest64, HistogramSnapshot, LatencyHistogram};
 use serde::{Deserialize, Serialize};
 
+use crate::sealed::{self, Seal, SealedWriter};
 use crate::store::{CLOCK_MONO_PS, CLOCK_SIM_PS};
 
 /// Series store format version, bumped on any layout change.
@@ -410,7 +410,7 @@ pub fn resample(windows: &[SeriesWindow], factor: u64) -> Vec<SeriesWindow> {
 }
 
 /// Descriptive metadata recorded in the series-store manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeriesMeta {
     /// Producer: `"sim"` or `"live"`.
     pub source: String,
@@ -446,16 +446,6 @@ impl SeriesMeta {
             jobs,
         }
     }
-}
-
-#[derive(Serialize, Deserialize)]
-struct SeriesManifestLine {
-    version: u32,
-    source: String,
-    label: String,
-    clock: String,
-    interval_ps: u64,
-    jobs: u64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -520,9 +510,21 @@ struct WindowLine {
 }
 
 #[derive(Serialize, Deserialize)]
-struct SeriesSealLine {
+struct SeriesSeal {
     windows: u64,
     digest: String,
+}
+
+impl Seal for SeriesSeal {
+    const ITEMS: &'static str = "windows";
+
+    fn count(&self) -> u64 {
+        self.windows
+    }
+
+    fn digest(&self) -> &str {
+        &self.digest
+    }
 }
 
 /// The canonical digest over a store's job series, in order.
@@ -548,32 +550,23 @@ pub fn write_series_store(
     meta: &SeriesMeta,
     jobs: &[JobSeries],
 ) -> std::io::Result<String> {
-    let bad = |e: serde_json::Error| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-    };
-    let mut out = BufWriter::new(File::create(path)?);
-    let manifest = SeriesManifestLine {
-        version: SERIES_VERSION,
-        source: meta.source.clone(),
-        label: meta.label.clone(),
-        clock: meta.clock.clone(),
-        interval_ps: meta.interval_ps,
+    let manifest = SeriesMeta {
         jobs: jobs.len() as u64,
+        ..meta.clone()
     };
-    writeln!(out, "{}", serde_json::to_string(&manifest).map_err(bad)?)?;
+    let mut out = SealedWriter::create(path, SERIES_VERSION, &manifest)?;
     let mut windows = 0u64;
     for (job, series) in jobs.iter().enumerate() {
-        let header = JobLine {
+        out.line(&JobLine {
             job: job as u64,
             series_label: series.label.clone(),
             cores: series.cores,
             groups: series.groups,
             windows: series.windows.len() as u64,
-        };
-        writeln!(out, "{}", serde_json::to_string(&header).map_err(bad)?)?;
+        })?;
         for w in &series.windows {
             windows += 1;
-            let line = WindowLine {
+            out.line(&WindowLine {
                 job: job as u64,
                 index: w.index,
                 arrivals: w.arrivals,
@@ -587,17 +580,14 @@ pub fn write_series_store(
                 group_queue_sum: w.group_queue_sum.clone(),
                 group_completions: w.group_completions.clone(),
                 hist: HistLine::from_hist(&w.latency),
-            };
-            writeln!(out, "{}", serde_json::to_string(&line).map_err(bad)?)?;
+            })?;
         }
     }
     let digest = digest_series(jobs).hex();
-    let seal = SeriesSealLine {
+    out.seal(&SeriesSeal {
         windows,
         digest: digest.clone(),
-    };
-    writeln!(out, "{}", serde_json::to_string(&seal).map_err(bad)?)?;
-    out.flush()?;
+    })?;
     Ok(digest)
 }
 
@@ -614,115 +604,68 @@ pub struct SeriesStore {
 
 impl SeriesStore {
     /// Loads and verifies a store: manifest version, seal presence,
-    /// window count, and digest must all check out.
+    /// window count, job count, and digest must all check out.
     pub fn load(path: &Path) -> Result<SeriesStore, String> {
-        let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut lines = BufReader::new(file).lines();
-
-        let manifest_line = lines
-            .next()
-            .ok_or_else(|| format!("{}: empty series store", path.display()))?
-            .map_err(|e| e.to_string())?;
-        let manifest: SeriesManifestLine = serde_json::from_str(&manifest_line)
-            .map_err(|e| format!("{}: bad manifest: {e}", path.display()))?;
-        if manifest.version != SERIES_VERSION {
-            return Err(format!(
-                "{}: series store version {} (this build reads {SERIES_VERSION})",
-                path.display(),
-                manifest.version
-            ));
-        }
-        if manifest.interval_ps == 0 {
+        let (meta, jobs, seal): (SeriesMeta, Vec<JobSeries>, SeriesSeal) = sealed::load(
+            path,
+            "series store",
+            SERIES_VERSION,
+            |jobs: &mut Vec<JobSeries>, line| {
+                if let Ok(w) = WindowLine::deserialize(line) {
+                    let job = jobs
+                        .get_mut(w.job as usize)
+                        .ok_or_else(|| format!("window for undeclared job {}", w.job))?;
+                    job.windows.push(SeriesWindow {
+                        index: w.index,
+                        arrivals: w.arrivals,
+                        completions: w.completions,
+                        latency: w.hist.to_hist()?,
+                        samples: w.samples,
+                        busy_sum: w.busy_sum,
+                        queued_sum: w.queued_sum,
+                        queued_max: w.queued_max,
+                        inflight_sum: w.inflight_sum,
+                        core_busy: w.core_busy,
+                        group_queue_sum: w.group_queue_sum,
+                        group_completions: w.group_completions,
+                    });
+                } else if let Ok(j) = JobLine::deserialize(line) {
+                    if j.job as usize != jobs.len() {
+                        return Err(format!(
+                            "job header {} out of order (expected {})",
+                            j.job,
+                            jobs.len()
+                        ));
+                    }
+                    jobs.push(JobSeries {
+                        label: j.series_label,
+                        cores: j.cores,
+                        groups: j.groups,
+                        windows: Vec::with_capacity(j.windows as usize),
+                    });
+                } else {
+                    return Ok(false);
+                }
+                Ok(true)
+            },
+            |jobs| {
+                let windows = jobs.iter().map(|j| j.windows.len() as u64).sum();
+                (windows, digest_series(jobs).hex())
+            },
+        )?;
+        if meta.interval_ps == 0 {
             return Err(format!("{}: zero window interval", path.display()));
         }
-
-        let mut jobs: Vec<JobSeries> = Vec::new();
-        let mut windows = 0u64;
-        let mut seal: Option<SeriesSealLine> = None;
-        for line in lines {
-            let line = line.map_err(|e| e.to_string())?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if seal.is_some() {
-                return Err(format!("{}: data after seal", path.display()));
-            }
-            if let Ok(w) = serde_json::from_str::<WindowLine>(&line) {
-                let job = jobs
-                    .get_mut(w.job as usize)
-                    .ok_or_else(|| format!("{}: window for undeclared job {}", path.display(), w.job))?;
-                windows += 1;
-                job.windows.push(SeriesWindow {
-                    index: w.index,
-                    arrivals: w.arrivals,
-                    completions: w.completions,
-                    latency: w.hist.to_hist().map_err(|e| format!("{}: {e}", path.display()))?,
-                    samples: w.samples,
-                    busy_sum: w.busy_sum,
-                    queued_sum: w.queued_sum,
-                    queued_max: w.queued_max,
-                    inflight_sum: w.inflight_sum,
-                    core_busy: w.core_busy,
-                    group_queue_sum: w.group_queue_sum,
-                    group_completions: w.group_completions,
-                });
-            } else if let Ok(j) = serde_json::from_str::<JobLine>(&line) {
-                if j.job as usize != jobs.len() {
-                    return Err(format!(
-                        "{}: job header {} out of order (expected {})",
-                        path.display(),
-                        j.job,
-                        jobs.len()
-                    ));
-                }
-                jobs.push(JobSeries {
-                    label: j.series_label,
-                    cores: j.cores,
-                    groups: j.groups,
-                    windows: Vec::with_capacity(j.windows as usize),
-                });
-            } else if let Ok(s) = serde_json::from_str::<SeriesSealLine>(&line) {
-                seal = Some(s);
-            } else {
-                return Err(format!("{}: unparseable line: {line}", path.display()));
-            }
-        }
-        let seal = seal.ok_or_else(|| {
-            format!("{}: missing seal (interrupted capture?)", path.display())
-        })?;
-
-        if seal.windows != windows {
-            return Err(format!(
-                "{}: seal says {} windows, store holds {windows}",
-                path.display(),
-                seal.windows
-            ));
-        }
-        if manifest.jobs != jobs.len() as u64 {
+        if meta.jobs != jobs.len() as u64 {
             return Err(format!(
                 "{}: manifest says {} jobs, store holds {}",
                 path.display(),
-                manifest.jobs,
+                meta.jobs,
                 jobs.len()
             ));
         }
-        let recomputed = digest_series(&jobs).hex();
-        if recomputed != seal.digest {
-            return Err(format!(
-                "{}: digest mismatch (seal {}, recomputed {recomputed}) — store is corrupt",
-                path.display(),
-                seal.digest
-            ));
-        }
-
         Ok(SeriesStore {
-            meta: SeriesMeta {
-                source: manifest.source,
-                label: manifest.label,
-                clock: manifest.clock,
-                interval_ps: manifest.interval_ps,
-                jobs: manifest.jobs,
-            },
+            meta,
             jobs,
             digest: seal.digest,
         })

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use rpcvalet_repro::dist::gev::Gev;
 use rpcvalet_repro::dist::ServiceDist;
-use rpcvalet_repro::metrics::{percentile_ns, LatencyHistogram};
+use rpcvalet_repro::metrics::{percentile_ns, quantiles_unsorted, LatencyHistogram};
 use rpcvalet_repro::noc::{Mesh, TileId};
 use rpcvalet_repro::rpcvalet::domain::MessagingDomain;
 use rpcvalet_repro::rpcvalet::dispatch::Dispatcher;
@@ -68,6 +68,30 @@ proptest! {
             (approx - exact).abs() <= exact * 0.011 + 1.0,
             "q={}: histogram {} vs exact {}", q, approx, exact
         );
+    }
+
+    /// The production quantile selection returns exactly the sort-based
+    /// reference's value for every q: arbitrary lengths, heavy
+    /// duplication, and q sets holding 0, 1, random fractions and exact
+    /// rank boundaries `k/n`.
+    #[test]
+    fn quantile_selection_matches_sort_reference(
+        samples in prop::collection::vec(0u64..64, 1..2_000),
+        fractions in prop::collection::vec(0.0f64..1.0, 0..5),
+        ranks in prop::collection::vec(0usize..2_001, 0..5),
+    ) {
+        let ns: Vec<f64> = samples.iter().map(|&v| v as f64 / 4.0).collect();
+        let n = ns.len();
+        let qs: Vec<f64> = [0.0, 1.0]
+            .into_iter()
+            .chain(fractions)
+            .chain(ranks.iter().map(|&k| (k % (n + 1)) as f64 / n as f64))
+            .collect();
+        let mut scratch = ns.clone();
+        let got = quantiles_unsorted(&mut scratch, &qs);
+        for (&q, &v) in qs.iter().zip(&got) {
+            prop_assert_eq!(v, percentile_ns(&ns, q), "q={} n={}", q, n);
+        }
     }
 
     /// Slot accounting: acquire/release sequences never lose or duplicate

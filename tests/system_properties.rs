@@ -113,8 +113,8 @@ proptest! {
         for t in r.traces.records() {
             let sum = t.reassembly_ns() + t.dispatch_ns() + t.core_queue_ns() + t.processing_ns();
             prop_assert!((sum - t.total_ns()).abs() < 1e-6);
-            prop_assert!(t.first_pkt <= t.reassembled && t.reassembled <= t.dispatched);
-            prop_assert!(t.started <= t.completed);
+            prop_assert!(t.arrival_ps <= t.reassembled_ps && t.reassembled_ps <= t.dispatched_ps);
+            prop_assert!(t.started_ps <= t.completed_ps);
         }
     }
 
