@@ -132,16 +132,16 @@ pub struct LiveParams {
     /// Load-generator connections.
     pub connections: usize,
     /// Service-time multiplier (ns-scale profiles × this; see
-    /// `live::LoadgenConfig::scale`).
+    /// [`live::BalancerConfig::scale`]).
     pub scale: f64,
     /// Requests handed per replenish availability slot (≥ 1; only
     /// [`LivePolicy::Replenish`] batches — a sensitivity knob).
     pub replenish_batch: usize,
-    /// `Some` runs the job as a multi-node cluster behind the
-    /// client-side balancer ([`live::cluster::run_cluster`]), with the
-    /// plan's failure mode injected mid-run; `None` is the classic
-    /// single loopback server. Cluster jobs assert the zero-lost
-    /// accounting invariant and report redirect frames in
+    /// `Some` runs the job as a multi-node cluster
+    /// ([`live::cluster::run_cluster`]), with the plan's failure mode
+    /// injected mid-run; `None` is one loopback server. Both run the
+    /// same client, so every live job asserts the zero-lost accounting
+    /// invariant and reports redirect frames in
     /// [`Measurement::flow_control_deferrals`].
     pub cluster: Option<ClusterPlan>,
 }
@@ -576,38 +576,64 @@ impl ExperimentSpec {
                 if matches!(policy, LivePolicy::Replenish) && params.replenish_batch > 1 {
                     label = format!("{label}-b{}", params.replenish_batch);
                 }
-                if let Some(plan) = params.cluster {
-                    return self.run_live_cluster(config, plan, label);
-                }
-                let outcome = live::run_loopback_observed(&config)
-                    .unwrap_or_else(|e| panic!("live loopback job failed: {e}"));
-                let r = &outcome.stats;
-                let server = &outcome.server;
+                // One client drives every live job, so every job is held
+                // to the accounting identity; redirect frames land in
+                // `flow_control_deferrals` (the live analogue of send-slot
+                // deferrals: arrivals the tier made the client re-route).
+                let (mut events, mut dropped) = (Vec::new(), 0);
+                let run = match params.cluster {
+                    Some(plan) => {
+                        label = format!("{label}-c{}{}", plan.nodes, plan.failure.key_suffix());
+                        live::cluster::run_cluster(&config.cluster(plan))
+                            .unwrap_or_else(|e| panic!("live cluster job failed: {e}"))
+                    }
+                    // One server is a one-node cluster with no failure plan.
+                    None => {
+                        let o = live::run_loopback_observed(&config)
+                            .unwrap_or_else(|e| panic!("live loopback job failed: {e}"));
+                        (events, dropped) = (o.events, o.dropped);
+                        live::ClusterOutcome {
+                            stats: o.stats,
+                            accounting: o.accounting,
+                            redirects: o.redirects,
+                            node_stats: vec![o.server],
+                        }
+                    }
+                };
+                run.accounting.assert_balanced(&format!("live job {label}"));
                 let measurement = Measurement {
                     label,
-                    throughput_rps: r.throughput_rps,
-                    mean_latency_ns: r.mean_latency_ns,
-                    p50_latency_ns: r.p50_latency_ns,
-                    p99_latency_ns: r.p99_latency_ns,
-                    p99_critical_ns: r.p99_latency_ns,
-                    measured: r.measured,
-                    mean_service_ns: r.mean_service_ns,
-                    load_balance_jain: r.load_balance_jain,
-                    flow_control_deferrals: 0,
+                    throughput_rps: run.stats.throughput_rps,
+                    mean_latency_ns: run.stats.mean_latency_ns,
+                    p50_latency_ns: run.stats.p50_latency_ns,
+                    p99_latency_ns: run.stats.p99_latency_ns,
+                    p99_critical_ns: run.stats.p99_latency_ns,
+                    measured: run.stats.measured,
+                    mean_service_ns: run.stats.mean_service_ns,
+                    load_balance_jain: run.stats.load_balance_jain,
+                    flow_control_deferrals: run.redirects,
                     sim_events: 0,
                     queue_overflow_pushes: 0,
                     queue_overflow_migrations: 0,
                     // The live analogue of the sim's peak shared-CQ depth:
-                    // the server's own high-water gauge (requests
+                    // each server's own high-water gauge (requests
                     // waiting, or workers parked idle, whichever side
-                    // of the match ran deeper), from the `STATS` snapshot.
-                    dispatcher_high_water: server.queue_high_water.max(server.ring_high_water)
-                        as usize,
+                    // of the match ran deeper), from its `STATS`
+                    // snapshot; the worst node's for a cluster.
+                    dispatcher_high_water: run
+                        .node_stats
+                        .iter()
+                        .map(|s| s.queue_high_water.max(s.ring_high_water))
+                        .max()
+                        .unwrap_or(0) as usize,
                     preemptions: 0,
-                    trace_dropped: outcome.dropped.max(server.trace_dropped),
+                    trace_dropped: run
+                        .node_stats
+                        .iter()
+                        .map(|s| s.trace_dropped)
+                        .fold(dropped, u64::max),
                     breakdown: None,
                 };
-                let mut events = outcome.events;
                 if req_base != 0 {
                     for event in &mut events {
                         event.req |= req_base;
@@ -616,63 +642,10 @@ impl ExperimentSpec {
                 ObservedRun {
                     measurement,
                     events,
-                    dropped: outcome.dropped,
-                    series: outcome.stats.series,
+                    dropped,
+                    series: run.stats.series,
                 }
             }
-        }
-    }
-
-    /// Runs one live *cluster* job: `plan.nodes` in-process servers
-    /// behind the client-side balancer, with the plan's failure mode
-    /// injected mid-run ([`live::cluster::run_cluster`]).
-    ///
-    /// The request-accounting invariant (`completed + redirected +
-    /// rejected == issued`, zero lost) is asserted here — a violation
-    /// panics the job and fails the scenario, because losing requests
-    /// across a drain/churn/migration is exactly the regression this
-    /// job exists to catch. Redirect frames land in
-    /// [`Measurement::flow_control_deferrals`] (the cluster analogue of
-    /// send-slot deferrals: arrivals the tier made the client re-route),
-    /// and `dispatcher_high_water` is the worst per-node high water.
-    fn run_live_cluster(&self, config: LiveRunConfig, plan: ClusterPlan, label: String) -> ObservedRun {
-        let config = config.cluster(plan);
-        let outcome = live::cluster::run_cluster(&config)
-            .unwrap_or_else(|e| panic!("live cluster job failed: {e}"));
-        outcome
-            .accounting
-            .assert_balanced(&format!("live cluster job {label}"));
-        let r = &outcome.stats;
-        let high_water = outcome
-            .node_stats
-            .iter()
-            .map(|s| s.queue_high_water.max(s.ring_high_water))
-            .max()
-            .unwrap_or(0);
-        let measurement = Measurement {
-            label: format!("{label}-c{}{}", plan.nodes, plan.failure.key_suffix()),
-            throughput_rps: r.throughput_rps,
-            mean_latency_ns: r.mean_latency_ns,
-            p50_latency_ns: r.p50_latency_ns,
-            p99_latency_ns: r.p99_latency_ns,
-            p99_critical_ns: r.p99_latency_ns,
-            measured: r.measured,
-            mean_service_ns: r.mean_service_ns,
-            load_balance_jain: r.load_balance_jain,
-            flow_control_deferrals: outcome.redirects,
-            sim_events: 0,
-            queue_overflow_pushes: 0,
-            queue_overflow_migrations: 0,
-            dispatcher_high_water: high_water as usize,
-            preemptions: 0,
-            trace_dropped: 0,
-            breakdown: None,
-        };
-        ObservedRun {
-            measurement,
-            events: Vec::new(),
-            dropped: 0,
-            series: r.series.clone(),
         }
     }
 

@@ -6,8 +6,8 @@
 //! * `--addr host:port` polls an already-running `valetd` (started with
 //!   `--metrics-addr` or `--metrics-window-ms`, so its sampler is on);
 //! * `--scenario live_smoke` spins up the scenario's loopback pair
-//!   in-process — server with a metrics sampler, load generator driving
-//!   it — and watches that run to completion.
+//!   in-process — server with a metrics sampler, the one open-loop
+//!   client driving it — and watches that run to completion.
 //!
 //! Either way the client keeps a delta watermark: each poll asks only
 //! for windows sealed since the last reply (`MetricsReply::next_index`),
@@ -19,9 +19,13 @@
 
 use std::io::{self, Write};
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
-use live::{query_metrics, LiveRunConfig, MetricsWindow, Server};
+use live::{
+    query_metrics, run_balancer, BalancerConfig, LiveRunConfig, MetricsWindow, NodeDirectory,
+    Server,
+};
 
 use crate::plot::sparkline;
 use crate::spec::PolicySpec;
@@ -179,10 +183,25 @@ pub fn watch_addr(
     cfg: &WatchConfig,
     out: &mut dyn Write,
 ) -> io::Result<WatchSummary> {
+    poll(addr, label, cfg, out, &|| false)
+}
+
+/// Polls `addr`'s `METRICS` verb and renders one frame per poll until the
+/// frame budget is spent or `drained()` reports the watched run over —
+/// checked before the poll, so the last frame holds the windows the
+/// run's final requests sealed.
+fn poll(
+    addr: SocketAddr,
+    label: &str,
+    cfg: &WatchConfig,
+    out: &mut dyn Write,
+    drained: &dyn Fn() -> bool,
+) -> io::Result<WatchSummary> {
     let mut summary = WatchSummary::default();
     let mut history: Vec<MetricsWindow> = Vec::new();
     let mut since = 0u64;
     loop {
+        let last = drained();
         let reply = query_metrics(addr, since)?;
         if reply.interval_ps == 0 {
             return Err(io::Error::new(
@@ -208,7 +227,7 @@ pub fn watch_addr(
             render_frame(label, interval_ps, workers, &history, summary.frames, cfg.width)
         )?;
         out.flush()?;
-        if cfg.frames.is_some_and(|limit| summary.frames >= limit) {
+        if last || cfg.frames.is_some_and(|limit| summary.frames >= limit) {
             return Ok(summary);
         }
         std::thread::sleep(cfg.refresh);
@@ -216,8 +235,8 @@ pub fn watch_addr(
 }
 
 /// Spins up `spec`'s loopback pair with a `window`-length sampler and
-/// watches it: the server runs in-process, the load generator on a
-/// background thread, and the dashboard polls the `METRICS` verb over
+/// watches it: the server runs in-process, the client on a background
+/// thread, and the dashboard polls the `METRICS` verb over
 /// the wire exactly like an external client until the run drains (or
 /// the frame budget is spent, whichever is first).
 pub fn watch_loopback(
@@ -232,55 +251,22 @@ pub fn watch_loopback(
     // off — the dashboard reads the *server's* windows over the wire.
     let spec = spec.clone().series_interval(Some(window));
     let server = Server::start(spec.server_config(None), "127.0.0.1:0")?;
-    let mut loadgen_cfg = spec.loadgen_config(server.local_addr());
-    loadgen_cfg.series_interval = None;
+    let addr = server.local_addr();
+    let client = BalancerConfig {
+        series_interval: None,
+        ..spec.balancer_config()
+    };
+    let directory = Arc::new(NodeDirectory::new(vec![addr]));
     let driver = std::thread::Builder::new()
         .name("watch-loadgen".into())
-        .spawn(move || live::loadgen::run_loadgen(&loadgen_cfg))
+        .spawn(move || run_balancer(&client, &directory))
         .expect("spawn loadgen thread");
-
-    let addr = server.local_addr();
-    let mut summary = WatchSummary::default();
-    let mut history: Vec<MetricsWindow> = Vec::new();
-    let mut since = 0u64;
-    let interval_ps = (window.as_nanos() as u64).max(1).saturating_mul(1_000);
-    loop {
-        let drained = driver.is_finished();
-        let reply = query_metrics(addr, since)?;
-        since = reply.next_index;
-        summary.windows += reply.windows.len() as u64;
-        for w in &reply.windows {
-            summary.arrivals += w.arrivals;
-            summary.completions += w.completions;
-        }
-        history.extend(reply.windows);
-        summary.frames += 1;
-        write!(
-            out,
-            "{}{}",
-            frame_prefix(cfg.clear),
-            render_frame(
-                label,
-                interval_ps,
-                spec.workers as u32,
-                &history,
-                summary.frames,
-                cfg.width
-            )
-        )?;
-        out.flush()?;
-        // One last poll after the load generator drains picks up the
-        // windows its final requests sealed.
-        if drained || cfg.frames.is_some_and(|limit| summary.frames >= limit) {
-            break;
-        }
-        std::thread::sleep(cfg.refresh);
-    }
+    let summary = poll(addr, label, cfg, out, &|| driver.is_finished())?;
     server.stop();
     match driver.join() {
-        Ok(Ok(stats)) => writeln!(
+        Ok(Ok((stats, accounting, _))) => writeln!(
             out,
-            "run drained: {}/{} response(s), p99 {:.3} ms",
+            "run drained: {}/{} response(s), p99 {:.3} ms; accounting: {accounting}",
             stats.received,
             stats.sent,
             stats.p99_latency_ns / 1e6

@@ -41,23 +41,22 @@ struct Args {
     port: u16,
     bind: String,
     trace: Option<String>,
-    trace_requests: u64,
+    trace_requests: Option<u64>,
     metrics_addr: Option<String>,
     metrics_window_ms: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut flags: Flags) -> Result<Args, String> {
     let mut config = LiveRunConfig::new(LivePolicy::Replenish).workers(4);
     let mut args = Args {
         config: config.clone(),
         port: 7117,
         bind: "127.0.0.1".to_owned(),
         trace: None,
-        trace_requests: 100_000,
+        trace_requests: None,
         metrics_addr: None,
         metrics_window_ms: None,
     };
-    let mut flags = Flags::from_env();
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--policy" => {
@@ -72,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
             "--port" => args.port = flags.parse("--port")?,
             "--bind" => args.bind = flags.value("--bind")?,
             "--trace" => args.trace = Some(flags.value("--trace")?),
-            "--trace-requests" => args.trace_requests = flags.parse("--trace-requests")?,
+            "--trace-requests" => args.trace_requests = Some(flags.parse("--trace-requests")?),
             "--metrics-addr" => args.metrics_addr = Some(flags.value("--metrics-addr")?),
             "--metrics-window-ms" => {
                 args.metrics_window_ms = Some(flags.parse_positive("--metrics-window-ms")?);
@@ -87,6 +86,9 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
+    }
+    if args.trace.is_none() && args.trace_requests.is_some() {
+        return Err("--trace-requests needs --trace".to_owned());
     }
     config = config.series_interval(
         (args.metrics_addr.is_some() || args.metrics_window_ms.is_some())
@@ -131,7 +133,7 @@ fn install_shutdown_handler() {
 fn install_shutdown_handler() {}
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(Flags::from_env()) {
         Ok(args) => args,
         Err(msg) => {
             eprintln!("{msg}");
@@ -154,7 +156,7 @@ fn main() -> ExitCode {
             };
             let ring = Arc::new(EventRing::with_capacity(8 * 1024));
             capture = Some((Arc::clone(&ring), RingFlusher::spawn(Arc::clone(&ring), writer)));
-            Some(TraceSink::new(ring, args.trace_requests))
+            Some(TraceSink::new(ring, args.trace_requests.unwrap_or(100_000)))
         }
         None => None,
     };
@@ -219,4 +221,46 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Args, String> {
+        parse_args(Flags::from_args(
+            line.split_whitespace().map(str::to_owned).collect(),
+        ))
+    }
+
+    #[test]
+    fn usage_examples_parse_and_ignored_or_bad_flags_are_errors() {
+        for line in [
+            "",
+            "--policy replenish --workers 4",
+            "--policy rss --workers 16 --burn spin --port 7117",
+            "--port 0 --node-id 2",
+            "--trace t.store --trace-requests 10",
+            "--metrics-addr 127.0.0.1:0 --metrics-window-ms 100",
+        ] {
+            assert!(
+                parse_line(line).is_ok(),
+                "{line}: {:?}",
+                parse_line(line).err()
+            );
+        }
+        // `command line => expected error`.
+        for row in [
+            "--trace-requests 10 => --trace-requests needs --trace",
+            "--workers 0 => --workers must be at least 1",
+            "--policy partitioned:3 --workers 4 => divides workers",
+            "--burn hot => unknown burn mode",
+            "--port => --port needs a value",
+            "--requests 10 => unknown flag `--requests`",
+        ] {
+            let (line, want) = row.split_once(" => ").expect("`line => error` row");
+            let err = parse_line(line).err().unwrap_or_default();
+            assert!(err.contains(want), "{line}: got `{err}`, want `{want}`");
+        }
+    }
 }

@@ -12,9 +12,10 @@
 //!   ([`NodeLaunch::Process`]), and runs the graceful-drain cycle:
 //!   drain over the wire, wait for in-flight zero, restart on a fresh
 //!   port, rejoin the directory.
-//! * [`run_balancer`] / [`run_cluster`] — the open-loop load generator
-//!   taught about redirects and reconnects. Every request ends in
-//!   exactly one of completed / redirected / rejected, tallied in a
+//! * [`run_cluster`] — starts the nodes and drives them with the one
+//!   open-loop client, [`crate::loadgen::run_balancer`], which follows
+//!   redirects and reconnects. Every request ends in exactly one of
+//!   completed / redirected / rejected, tallied in a
 //!   [`RequestAccounting`]; anything else is a *lost* request and the
 //!   run's accounting check fails.
 //!
@@ -23,34 +24,22 @@
 //! leave and rejoin with zero lost in-flight requests, and migrate
 //! proves flows can move between dispatch groups mid-run.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dist::ServiceDist;
-use metrics::{jain_index, LatencyHistogram, RequestAccounting};
-use rand::Rng;
-use simkit::rng::{split_seed, stream_rng};
-use simkit::SimDuration;
+use metrics::RequestAccounting;
+use simkit::rng::split_seed;
 
 use crate::config::{ClusterPlan, FailureMode, LiveRunConfig};
-use crate::loadgen::{LiveRunStats, MAX_TRACKED_WORKERS};
-use crate::protocol::{
-    read_frame, DrainAction, Redirect, Request, Response, StatsSnapshot, KIND_REDIRECT,
-    KIND_RESPONSE,
-};
+use crate::loadgen::{run_balancer, LiveRunStats};
+use crate::protocol::{DrainAction, StatsSnapshot};
 use crate::server::{BurnMode, Server};
 use crate::{query_drain, query_stats, request_remote_shutdown};
-
-/// Resends per request before the balancer gives up and counts it
-/// rejected (a redirect and a severed socket each cost one attempt).
-pub const RETRY_LIMIT: u32 = 5;
 
 /// One routing slot: where the node listens and whether it takes work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,241 +364,11 @@ fn stop_node(handle: NodeHandle, addr: SocketAddr, drained: bool) -> io::Result<
     }
 }
 
-/// What one request still in flight looks like to the balancer.
-#[derive(Debug)]
-struct Pending {
-    /// Scheduled send time (the open-loop latency origin — resends keep
-    /// it, so redirect detours show up as latency).
-    sent_at_ns: u64,
-    service_ns: u64,
-    /// Resends so far; past [`RETRY_LIMIT`] the request is rejected.
-    attempts: u32,
-    /// Owning flow (used to requeue when that flow's socket dies).
-    flow: usize,
-}
-
-struct Agg {
-    hist: LatencyHistogram,
-    worker_counts: Vec<u64>,
-    received: u64,
-    first_measured_ns: Option<u64>,
-    last_measured_ns: Option<u64>,
-}
-
-/// State shared between the sender, the per-connection readers, and the
-/// failure drivers. Terminal accounting transitions happen exactly once,
-/// under the `outstanding` lock: whoever removes the entry counts it.
-struct BalancerShared {
-    outstanding: Mutex<BTreeMap<u64, Pending>>,
-    retry: Mutex<VecDeque<u64>>,
-    agg: Mutex<Agg>,
-    completed: AtomicU64,
-    redirected: AtomicU64,
-    rejected: AtomicU64,
-    redirect_frames: AtomicU64,
-    warmup: u64,
-    /// Workers per node: response frames tag the *node-local* worker
-    /// index, so balance statistics slot them at
-    /// `node * workers_per_node + worker` to keep nodes distinct.
-    workers_per_node: usize,
-}
-
-impl BalancerShared {
-    /// Bumps `attempts` on a still-outstanding request and either
-    /// requeues it or (past the retry limit) rejects it.
-    fn penalize(&self, req_id: u64) {
-        let mut outstanding = self.outstanding.lock().expect("outstanding");
-        if let Some(pending) = outstanding.get_mut(&req_id) {
-            pending.attempts += 1;
-            if pending.attempts > RETRY_LIMIT {
-                outstanding.remove(&req_id);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-            } else {
-                drop(outstanding);
-                self.retry.lock().expect("retry").push_back(req_id);
-            }
-        }
-    }
-
-    /// Requeues everything a severed flow still had in flight.
-    fn penalize_flow(&self, flow: usize) {
-        let ids: Vec<u64> = {
-            let outstanding = self.outstanding.lock().expect("outstanding");
-            outstanding
-                .iter()
-                .filter(|(_, p)| p.flow == flow)
-                .map(|(id, _)| *id)
-                .collect()
-        };
-        for id in ids {
-            self.penalize(id);
-        }
-    }
-}
-
-/// One flow's current connection: the write half plus the directory
-/// coordinates it was resolved at.
-struct FlowConn {
-    stream: TcpStream,
-    node: usize,
-    addr: SocketAddr,
-    epoch: u64,
-}
-
-/// Balancer knobs, derived from [`LiveRunConfig`] by [`run_cluster`].
-#[derive(Debug, Clone)]
-pub struct BalancerConfig {
-    /// Client flows (each pins one connection to its mapped node).
-    pub flows: usize,
-    /// Requests to send.
-    pub requests: u64,
-    /// Completions with `req_id < warmup` are excluded from statistics.
-    pub warmup: u64,
-    /// Offered load (requests/second, whole tier).
-    pub rate_rps: f64,
-    /// Service-demand distribution (ns, before scaling).
-    pub service: ServiceDist,
-    /// Multiplier applied to each sampled service time.
-    pub scale: f64,
-    /// RNG master seed (same stream split as the single-node loadgen).
-    pub seed: u64,
-    /// Total workers across the tier, for balance statistics.
-    pub workers_hint: usize,
-    /// Give up waiting for stragglers after this long past the last send.
-    pub drain_timeout: Duration,
-    /// `true` severs every even-numbered flow's socket at 40 % and 60 %
-    /// of the schedule — the reconnect storm.
-    pub churn: bool,
-}
-
-/// The sender-side half of the balancer: flow connections plus the
-/// bookkeeping to open, re-point, and finally reap them.
-struct Balancer {
-    shared: Arc<BalancerShared>,
-    directory: Arc<NodeDirectory>,
-    flows: Vec<Option<FlowConn>>,
-    readers: Vec<JoinHandle<()>>,
-    /// Clones of every socket ever opened, for the final
-    /// unblock-and-join (re-pointed flows leave their old reader
-    /// draining until then).
-    socks: Vec<TcpStream>,
-    clock: Instant,
-}
-
-impl Balancer {
-    /// Resends everything queued for retry (stragglers jump the Poisson
-    /// schedule — they are already late).
-    fn drain_retries(&mut self) {
-        loop {
-            let req_id = self.shared.retry.lock().expect("retry").pop_front();
-            let Some(req_id) = req_id else { return };
-            let pending = {
-                let outstanding = self.shared.outstanding.lock().expect("outstanding");
-                outstanding
-                    .get(&req_id)
-                    .map(|p| (p.sent_at_ns, p.service_ns, p.flow))
-            };
-            // Completed while queued (e.g. the "dead" socket delivered
-            // after all): nothing to do.
-            let Some((sent_at_ns, service_ns, flow)) = pending else {
-                continue;
-            };
-            self.send_on_flow(flow, req_id, sent_at_ns, service_ns);
-        }
-    }
-
-    /// Writes one request on its flow's connection, (re)resolving the
-    /// flow against the directory first. A connect or write failure
-    /// penalizes the request and leaves it to the retry queue.
-    fn send_on_flow(&mut self, flow: usize, req_id: u64, sent_at_ns: u64, service_ns: u64) {
-        if !self.ensure_flow(flow) {
-            self.shared.penalize(req_id);
-            return;
-        }
-        let frame = Request {
-            req_id,
-            sent_at_ns,
-            service_ns,
-        }
-        .encode();
-        let conn = self.flows[flow].as_mut().expect("flow just ensured");
-        if (&conn.stream).write_all(&frame).is_err() {
-            // The node died under us: drop the connection and let the
-            // retry (re-resolved against the directory) find a live one.
-            self.flows[flow] = None;
-            self.shared.penalize(req_id);
-        }
-    }
-
-    /// Makes sure `flow` has a connection resolved at the current
-    /// directory epoch, opening or re-pointing it as needed. Old
-    /// sockets are *not* closed on re-point — their readers keep
-    /// draining responses the previous node still owes us.
-    fn ensure_flow(&mut self, flow: usize) -> bool {
-        if let Some(conn) = &self.flows[flow] {
-            if conn.epoch == self.directory.epoch() {
-                return true;
-            }
-            match self.directory.route(flow as u64) {
-                // Same destination after the epoch bump; keep the socket.
-                Some((epoch, node, addr)) if node == conn.node && addr == conn.addr => {
-                    self.flows[flow].as_mut().expect("checked").epoch = epoch;
-                    return true;
-                }
-                Some(_) => self.flows[flow] = None,
-                None => return false,
-            }
-        }
-        let Some((epoch, node, addr)) = self.directory.route(flow as u64) else {
-            return false;
-        };
-        let Ok(stream) = TcpStream::connect(addr) else {
-            return false;
-        };
-        let _ = stream.set_nodelay(true);
-        let Ok(read_half) = stream.try_clone() else {
-            return false;
-        };
-        if let Ok(clone) = stream.try_clone() {
-            self.socks.push(clone);
-        }
-        let reader_shared = Arc::clone(&self.shared);
-        let reader_directory = Arc::clone(&self.directory);
-        let clock = self.clock;
-        self.readers.push(
-            std::thread::Builder::new()
-                .name("balancer-reader".to_owned())
-                .spawn(move || {
-                    reader_loop(read_half, reader_shared, reader_directory, node, addr, clock)
-                })
-                .expect("spawn balancer reader"),
-        );
-        self.flows[flow] = Some(FlowConn {
-            stream,
-            node,
-            addr,
-            epoch,
-        });
-        true
-    }
-
-    /// The reconnect storm: sever every even flow's socket outright and
-    /// requeue whatever was riding on it.
-    fn sever_even_flows(&mut self) {
-        for flow in (0..self.flows.len()).step_by(2) {
-            if let Some(conn) = self.flows[flow].take() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                self.shared.penalize_flow(flow);
-            }
-        }
-    }
-}
-
 /// Everything one cluster run produces.
 #[derive(Debug)]
 pub struct ClusterOutcome {
-    /// Folded client-side latency statistics (same shape as a
-    /// single-node run).
+    /// Client-side latency statistics (the same client, and so the
+    /// same shape, as a single-node run).
     pub stats: LiveRunStats,
     /// Where every issued request ended up. `accounting.lost() == 0` is
     /// the run's zero-lost guarantee; [`run_cluster`] returns it
@@ -637,19 +396,7 @@ pub fn run_cluster_with(cfg: &LiveRunConfig, launch: NodeLaunch) -> io::Result<C
     })?;
     let cluster = Arc::new(Cluster::start(cfg, launch)?);
     let driver = spawn_failure_driver(&cluster, plan, cfg.expected_duration());
-    let balancer_cfg = BalancerConfig {
-        flows: cfg.connections,
-        requests: cfg.requests,
-        warmup: cfg.warmup,
-        rate_rps: cfg.rate_rps(),
-        service: cfg.service.clone(),
-        scale: cfg.scale,
-        seed: cfg.seed,
-        workers_hint: cfg.workers * plan.nodes,
-        drain_timeout: cfg.drain_timeout(),
-        churn: plan.failure == FailureMode::Churn,
-    };
-    let run = run_balancer(&balancer_cfg, &cluster.directory());
+    let run = run_balancer(&cfg.balancer_config(), &cluster.directory());
     let drained_snapshot = match driver {
         Some(handle) => handle.join().expect("failure driver")?,
         None => None,
@@ -713,239 +460,6 @@ fn spawn_failure_driver(
                     .expect("spawn migrate driver"),
             )
         }
-    }
-}
-
-/// Drives a node directory's worth of servers with the open-loop
-/// Poisson schedule, following redirects and surviving severed sockets.
-/// Returns client statistics, the request accounting, and the number of
-/// redirect frames observed.
-pub fn run_balancer(
-    cfg: &BalancerConfig,
-    directory: &Arc<NodeDirectory>,
-) -> io::Result<(LiveRunStats, RequestAccounting, u64)> {
-    assert!(cfg.requests > 0, "need at least one request");
-    assert!(cfg.flows > 0, "need at least one flow");
-    assert!(
-        cfg.rate_rps > 0.0 && cfg.rate_rps.is_finite(),
-        "rate must be positive"
-    );
-    assert!(
-        cfg.warmup < cfg.requests,
-        "warmup ({}) must be below requests ({})",
-        cfg.warmup,
-        cfg.requests
-    );
-
-    let shared = Arc::new(BalancerShared {
-        outstanding: Mutex::new(BTreeMap::new()),
-        retry: Mutex::new(VecDeque::new()),
-        agg: Mutex::new(Agg {
-            hist: LatencyHistogram::new(),
-            worker_counts: vec![0; cfg.workers_hint],
-            received: 0,
-            first_measured_ns: None,
-            last_measured_ns: None,
-        }),
-        completed: AtomicU64::new(0),
-        redirected: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
-        redirect_frames: AtomicU64::new(0),
-        warmup: cfg.warmup,
-        workers_per_node: (cfg.workers_hint / directory.nodes().len().max(1)).max(1),
-    });
-    let mut balancer = Balancer {
-        shared: Arc::clone(&shared),
-        directory: Arc::clone(directory),
-        flows: (0..cfg.flows).map(|_| None).collect(),
-        readers: Vec::new(),
-        socks: Vec::new(),
-        clock: Instant::now(),
-    };
-
-    crate::reduce_timer_slack();
-    let mut arrival_rng = stream_rng(cfg.seed, 0);
-    let mut route_rng = stream_rng(cfg.seed, 1);
-    let mut service_rng = stream_rng(cfg.seed, 2);
-    let mean_gap_ns = 1e9 / cfg.rate_rps;
-    let mut next_send_ns = 0.0f64;
-    let mut service_sum_ns = 0.0f64;
-    // The reconnect storm severs even flows at these points in the
-    // schedule (request counts, not wall-clock, so tests are exact).
-    let churn_points: [u64; 2] = [cfg.requests * 2 / 5, cfg.requests * 3 / 5];
-
-    for req_id in 0..cfg.requests {
-        balancer.drain_retries();
-        if cfg.churn && churn_points.contains(&req_id) {
-            balancer.sever_even_flows();
-        }
-        let u: f64 = arrival_rng.gen();
-        next_send_ns += -mean_gap_ns * (1.0 - u).ln();
-        wait_until(balancer.clock, next_send_ns as u64);
-        let service_ns = (cfg.service.sample_ns(&mut service_rng) * cfg.scale).max(0.0) as u64;
-        service_sum_ns += service_ns as f64;
-        let flow = route_rng.gen_range(0..cfg.flows);
-        shared.outstanding.lock().expect("outstanding").insert(
-            req_id,
-            Pending {
-                sent_at_ns: next_send_ns as u64,
-                service_ns,
-                attempts: 0,
-                flow,
-            },
-        );
-        balancer.send_on_flow(flow, req_id, next_send_ns as u64, service_ns);
-    }
-    let issued = cfg.requests;
-
-    // Drain: keep servicing the retry queue until every request reaches
-    // a terminal state or the timeout expires.
-    let deadline = Instant::now() + cfg.drain_timeout;
-    loop {
-        balancer.drain_retries();
-        let outstanding = shared.outstanding.lock().expect("outstanding").len();
-        if outstanding == 0 || Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let elapsed = balancer.clock.elapsed();
-    // Whatever is still outstanding is lost — drop it from the map so
-    // the accounting shows it rather than hanging.
-    shared.outstanding.lock().expect("outstanding").clear();
-
-    for sock in &balancer.socks {
-        let _ = sock.shutdown(Shutdown::Both);
-    }
-    for reader in balancer.readers {
-        let _ = reader.join();
-    }
-
-    let accounting = RequestAccounting {
-        issued,
-        completed: shared.completed.load(Ordering::Relaxed),
-        redirected: shared.redirected.load(Ordering::Relaxed),
-        rejected: shared.rejected.load(Ordering::Relaxed),
-    };
-    let agg = shared.agg.lock().expect("agg");
-    let measured = agg.hist.count();
-    let window_ns = match (agg.first_measured_ns, agg.last_measured_ns) {
-        (Some(a), Some(b)) if b > a => (b - a) as f64,
-        _ => 0.0,
-    };
-    let throughput_rps = if window_ns > 0.0 && measured > 1 {
-        (measured - 1) as f64 / window_ns * 1e9
-    } else {
-        0.0
-    };
-    let (mean, p50, p99) = if measured > 0 {
-        (
-            agg.hist.mean().as_ns_f64(),
-            agg.hist.percentile(0.50).as_ns_f64(),
-            agg.hist.percentile(0.99).as_ns_f64(),
-        )
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-    let counts_f64: Vec<f64> = agg.worker_counts.iter().map(|&c| c as f64).collect();
-    let stats = LiveRunStats {
-        hist: agg.hist.clone(),
-        sent: issued,
-        received: agg.received,
-        measured,
-        elapsed,
-        throughput_rps,
-        mean_latency_ns: mean,
-        p50_latency_ns: p50,
-        p99_latency_ns: p99,
-        mean_service_ns: if issued > 0 {
-            service_sum_ns / issued as f64
-        } else {
-            0.0
-        },
-        load_balance_jain: jain_index(&counts_f64),
-        worker_completions: agg.worker_counts.clone(),
-        series: None,
-    };
-    Ok((
-        stats,
-        accounting,
-        shared.redirect_frames.load(Ordering::Relaxed),
-    ))
-}
-
-/// Per-connection reader: responses retire requests (exactly once),
-/// redirect frames requeue them *and* fail the sending node over in
-/// the directory — a redirect is the draining node telling clients
-/// whose routing is stale to re-resolve, so retries never spin against
-/// the same node until they exhaust into rejections.
-fn reader_loop(
-    mut half: TcpStream,
-    shared: Arc<BalancerShared>,
-    directory: Arc<NodeDirectory>,
-    node: usize,
-    addr: SocketAddr,
-    clock: Instant,
-) {
-    while let Ok(Some(payload)) = read_frame(&mut half) {
-        match payload.first().copied() {
-            Some(KIND_RESPONSE) => {
-                let Ok(resp) = Response::decode(&payload) else {
-                    break;
-                };
-                let now_ns = clock.elapsed().as_nanos() as u64;
-                let pending = shared
-                    .outstanding
-                    .lock()
-                    .expect("outstanding")
-                    .remove(&resp.req_id);
-                // A duplicate completion (original arrived after we
-                // requeued) was already counted — drop it.
-                let Some(pending) = pending else { continue };
-                if pending.attempts == 0 {
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    shared.redirected.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut agg = shared.agg.lock().expect("agg");
-                agg.received += 1;
-                if resp.req_id >= shared.warmup {
-                    let latency = now_ns.saturating_sub(pending.sent_at_ns);
-                    agg.hist.record(SimDuration::from_ns(latency));
-                    let worker = node * shared.workers_per_node + resp.worker as usize;
-                    if worker < MAX_TRACKED_WORKERS {
-                        if worker >= agg.worker_counts.len() {
-                            agg.worker_counts.resize(worker + 1, 0);
-                        }
-                        agg.worker_counts[worker] += 1;
-                    }
-                    agg.first_measured_ns.get_or_insert(now_ns);
-                    agg.last_measured_ns = Some(now_ns);
-                }
-            }
-            Some(KIND_REDIRECT) => {
-                let Ok(redirect) = Redirect::decode(&payload) else {
-                    break;
-                };
-                shared.redirect_frames.fetch_add(1, Ordering::Relaxed);
-                directory.mark_dead_if(node, addr);
-                shared.penalize(redirect.req_id);
-            }
-            _ => break,
-        }
-    }
-}
-
-/// Sleeps until `clock + target_ns` (same always-sleep discipline as
-/// the single-node load generator).
-fn wait_until(clock: Instant, target_ns: u64) {
-    let target = Duration::from_nanos(target_ns);
-    loop {
-        let now = clock.elapsed();
-        if now >= target {
-            return;
-        }
-        std::thread::sleep(target - now);
     }
 }
 

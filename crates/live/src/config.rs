@@ -1,22 +1,21 @@
 //! The one live-run configuration: [`LiveRunConfig`].
 //!
-//! Every way of running the live tier — the `valetd`/`loadgen` binary
-//! pair, the in-process loopback used by tests and the harness, and the
-//! multi-node cluster with its failure drivers — used to grow its own
-//! positional parameter list. They all consume this one builder now:
-//! construct with [`LiveRunConfig::new`], override what the defaults
-//! get wrong, and hand the result to [`crate::run_loopback`],
-//! [`crate::run_loopback_observed`], or [`crate::cluster::run_cluster`].
-//! The server- and client-side configs the lower layers still speak
-//! ([`ServerConfig`], [`LoadgenConfig`]) are derived, never hand-built.
+//! Every way of running the live tier — `valetd`, the in-process
+//! loopback used by tests and the harness, and the multi-node cluster
+//! with its failure drivers — consumes this one builder: construct with
+//! [`LiveRunConfig::new`], override what the defaults get wrong, and hand
+//! the result to [`crate::run_loopback`], [`crate::run_loopback_observed`],
+//! or [`crate::cluster::run_cluster`]. The server- and client-side
+//! configs the lower layers speak ([`ServerConfig`], [`BalancerConfig`])
+//! are derived from it; only the `loadgen` binary, which drives servers
+//! it did not start, fills in a [`BalancerConfig`] itself.
 
-use std::net::SocketAddr;
 use std::time::Duration;
 
 use dist::ServiceDist;
 
 use crate::dispatch::LivePolicy;
-use crate::loadgen::LoadgenConfig;
+use crate::loadgen::BalancerConfig;
 use crate::server::{BurnMode, ServerConfig};
 use crate::stats::TraceSink;
 
@@ -102,7 +101,7 @@ pub struct LiveRunConfig {
     pub load: f64,
     /// Service-demand profile (ns, before scaling).
     pub service: ServiceDist,
-    /// Service-time multiplier (see [`LoadgenConfig::scale`]).
+    /// Service-time multiplier (see [`BalancerConfig::scale`]).
     pub scale: f64,
     /// RNG master seed.
     pub seed: u64,
@@ -112,16 +111,16 @@ pub struct LiveRunConfig {
     pub replenish_batch: usize,
     /// `Some(interval)` turns on windowed telemetry on both sides: each
     /// server runs a metrics sampler at this window length (served by
-    /// the `METRICS` verb) and the single-node load generator records a
-    /// client-side windowed latency series. `None` runs unwindowed.
+    /// the `METRICS` verb) and the client records a windowed latency
+    /// series. `None` runs unwindowed.
     pub series_interval: Option<Duration>,
     /// Stamp request-lifecycle hops for the first N requests (0 = off;
     /// single-node runs only).
     pub trace_requests: u64,
     /// This node's index in a cluster (labels, stable across restarts).
     pub node_id: usize,
-    /// `Some` runs a multi-node cluster behind the client-side
-    /// balancer; `None` is the classic single server + load generator.
+    /// `Some` runs a multi-node cluster with the plan's failure; `None`
+    /// is one server. The same client drives both.
     pub cluster: Option<ClusterPlan>,
 }
 
@@ -309,20 +308,22 @@ impl LiveRunConfig {
         }
     }
 
-    /// The load-generator config for driving a single server at `addr`.
-    pub fn loadgen_config(&self, addr: SocketAddr) -> LoadgenConfig {
-        LoadgenConfig {
-            addr,
-            connections: self.connections,
+    /// The client config this run calls for, across the whole tier.
+    pub fn balancer_config(&self) -> BalancerConfig {
+        BalancerConfig {
+            flows: self.connections,
             requests: self.requests,
             warmup: self.warmup,
             rate_rps: self.rate_rps(),
             service: self.service.clone(),
             scale: self.scale,
             seed: self.seed,
-            workers_hint: self.workers,
+            workers_hint: self.total_workers(),
             drain_timeout: self.drain_timeout(),
             series_interval: self.series_interval,
+            churn: self
+                .cluster
+                .is_some_and(|plan| plan.failure == FailureMode::Churn),
         }
     }
 }

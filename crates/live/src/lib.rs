@@ -3,7 +3,7 @@
 //! Everything else in this workspace *simulates* RPCValet's dispatch
 //! disciplines (ASPLOS '19 §4–6). This crate *runs* them: a
 //! multi-threaded RPC server ([`Server`], shipped as the `valetd`
-//! binary) and an open-loop Poisson load generator ([`run_loadgen`], the
+//! binary) and one open-loop Poisson client ([`run_balancer`], the
 //! `loadgen` binary) speak a tiny length-prefixed protocol over loopback
 //! TCP, with the paper's dispatch policies implemented on one passive
 //! [`Dispatcher`] core. The connection's reader thread plays the NI: it
@@ -27,7 +27,10 @@
 //! Every way of running the tier goes through one configuration type,
 //! [`LiveRunConfig`]: single-node loopback ([`run_loopback`],
 //! [`run_loopback_observed`]) and the multi-node cluster with failure
-//! injection ([`cluster::run_cluster`]).
+//! injection ([`cluster::run_cluster`]). Both drive their servers with
+//! the same client — one server is a one-node [`NodeDirectory`] — so
+//! every run ends with the same request accounting, `completed +
+//! redirected + rejected == issued`.
 //!
 //! ## In-process quickstart
 //!
@@ -73,7 +76,7 @@ pub use dispatch::{
     make_dispatcher, make_dispatcher_batched, DispatchGauges, Dispatcher, LivePolicy, RouteKey,
 };
 pub use exporter::MetricsExporter;
-pub use loadgen::{run_loadgen, LiveRunStats, LoadgenConfig};
+pub use loadgen::{run_balancer, BalancerConfig, LiveRunStats};
 pub use protocol::{
     encode_metrics_request, encode_stats_request, read_frame, write_frame, DrainAction, DrainReply,
     MetricsReply, MetricsWindow, Request, Response, StatsSnapshot, WorkerStats,
@@ -85,6 +88,7 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
+use metrics::RequestAccounting;
 use protocol::{encode_drain_request, encode_shutdown_request};
 use telemetry::{EventRing, RingFlusher, TraceEvent};
 
@@ -113,12 +117,12 @@ pub fn reduce_timer_slack() {
     }
 }
 
-/// Runs one server + load-generator pair over loopback TCP and returns
-/// the client-side statistics.
+/// Runs one server + client pair over loopback TCP and returns the
+/// client-side statistics.
 ///
-/// The server binds an ephemeral port on 127.0.0.1, the load generator
-/// drives it to completion, and the server is stopped before returning —
-/// nothing leaks between runs. Any [`LiveRunConfig::cluster`] plan is
+/// The server binds an ephemeral port on 127.0.0.1, the client drives
+/// it as a one-node directory to completion, and the server is stopped
+/// before returning — nothing leaks between runs. Any [`LiveRunConfig::cluster`] plan is
 /// ignored here; use [`cluster::run_cluster`] for those.
 pub fn run_loopback(config: &LiveRunConfig) -> io::Result<LiveRunStats> {
     run_loopback_observed(config).map(|outcome| outcome.stats)
@@ -129,6 +133,12 @@ pub fn run_loopback(config: &LiveRunConfig) -> io::Result<LiveRunStats> {
 pub struct LoopbackOutcome {
     /// Client-side latency statistics (what [`run_loopback`] returns).
     pub stats: LiveRunStats,
+    /// Where every issued request ended up; `lost() == 0` is the run's
+    /// zero-lost guarantee, returned unasserted as in
+    /// [`ClusterOutcome::accounting`].
+    pub accounting: RequestAccounting,
+    /// Redirect frames the client saw (0 unless the server drained).
+    pub redirects: u64,
     /// The server's telemetry snapshot, queried via the `STATS` verb
     /// over the wire just before shutdown.
     pub server: StatsSnapshot,
@@ -161,13 +171,17 @@ pub fn run_loopback_observed(config: &LiveRunConfig) -> io::Result<LoopbackOutco
         .as_ref()
         .map(|r| TraceSink::new(Arc::clone(r), config.trace_requests));
     let server = Server::start(config.server_config(trace), "127.0.0.1:0")?;
-    let stats = run_loadgen(&config.loadgen_config(server.local_addr()));
+    let addr = server.local_addr();
+    let run = run_balancer(
+        &config.balancer_config(),
+        &Arc::new(NodeDirectory::new(vec![addr])),
+    );
     // Snapshot over the wire while the server still serves — the same
     // path an external `STATS`/`METRICS` client uses — then stop it.
-    let server_snapshot = query_stats(server.local_addr());
-    let server_series = query_metrics(server.local_addr(), 0);
+    let server_snapshot = query_stats(addr);
+    let server_series = query_metrics(addr, 0);
     server.stop();
-    let stats = stats?;
+    let (stats, accounting, redirects) = run?;
     let server_snapshot = server_snapshot?;
     let server_series = server_series?;
     let (events, dropped) = match (flusher, ring) {
@@ -178,6 +192,8 @@ pub fn run_loopback_observed(config: &LiveRunConfig) -> io::Result<LoopbackOutco
     };
     Ok(LoopbackOutcome {
         stats,
+        accounting,
+        redirects,
         server: server_snapshot,
         events,
         dropped,
@@ -185,63 +201,46 @@ pub fn run_loopback_observed(config: &LiveRunConfig) -> io::Result<LoopbackOutco
     })
 }
 
+/// One control round trip over a fresh connection: sends the encoded
+/// `request` and returns the server's reply frame (`what` names the
+/// reply in the error when the server hangs up first).
+fn control_round_trip(addr: SocketAddr, request: &[u8], what: &str) -> io::Result<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    write_frame(&mut stream, request)?;
+    read_frame(&mut stream)?.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("server closed before the {what}"),
+        )
+    })
+}
+
 /// Queries a running server's telemetry snapshot over a fresh
 /// connection (the `STATS` verb).
 pub fn query_stats(addr: SocketAddr) -> io::Result<StatsSnapshot> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_frame(&mut stream, &encode_stats_request())?;
-    let payload = read_frame(&mut stream)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed before the stats reply",
-        )
-    })?;
-    StatsSnapshot::decode(&payload)
+    let request = encode_stats_request();
+    StatsSnapshot::decode(&control_round_trip(addr, &request, "stats reply")?)
 }
 
 /// Queries a running server's sealed metrics windows with
 /// `index >= since` over a fresh connection (the `METRICS` verb).
 pub fn query_metrics(addr: SocketAddr, since: u64) -> io::Result<MetricsReply> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_frame(&mut stream, &encode_metrics_request(since))?;
-    let payload = read_frame(&mut stream)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed before the metrics reply",
-        )
-    })?;
-    MetricsReply::decode(&payload)
+    let request = encode_metrics_request(since);
+    MetricsReply::decode(&control_round_trip(addr, &request, "metrics reply")?)
 }
 
 /// Sends a `DRAIN` command/query over a fresh connection and returns
 /// the server's drain state ([`DrainAction::Query`] just observes).
 pub fn query_drain(addr: SocketAddr, action: DrainAction) -> io::Result<DrainReply> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_frame(&mut stream, &encode_drain_request(action))?;
-    let payload = read_frame(&mut stream)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed before the drain reply",
-        )
-    })?;
-    DrainReply::decode(&payload)
+    let request = encode_drain_request(action);
+    DrainReply::decode(&control_round_trip(addr, &request, "drain reply")?)
 }
 
 /// Asks a remote server's host process to exit via the wire `SHUTDOWN`
 /// verb, waiting for the acknowledgement (the process itself decides
 /// when to stop serving — see `valetd`'s main loop).
 pub fn request_remote_shutdown(addr: SocketAddr) -> io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_frame(&mut stream, &encode_shutdown_request())?;
-    read_frame(&mut stream)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed before the shutdown acknowledgement",
-        )
-    })?;
-    Ok(())
+    let request = encode_shutdown_request();
+    control_round_trip(addr, &request, "shutdown acknowledgement").map(drop)
 }

@@ -125,34 +125,51 @@ struct ServerJob {
     conn: u64,
 }
 
-/// A running server; dropped or [`Server::stop`]ped, it shuts down
-/// cleanly.
-pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    dispatcher: Arc<Dispatcher<ServerJob>>,
-    accept_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<u64>>,
+/// The state every server thread shares: the dispatch core, the
+/// counters, the connection registry, and the flags the control verbs
+/// and the stop path flip.
+struct Shared {
+    dispatcher: Dispatcher<ServerJob>,
+    stats: ServerStats,
+    trace: Option<TraceSink>,
+    metrics: Option<MetricsHub>,
+    /// Server-wide arrival sequence counter (the trace's request id).
+    dispatched: AtomicU64,
     /// Socket handles of live connections, keyed by connection id, for
     /// forced shutdown. Deliberately *clones* of the streams, not the
     /// `Arc<Mutex<_>>` writers: `TcpStream::shutdown` takes `&self`, so
     /// the stop path never needs the write mutex — which a worker may be
     /// holding across a blocked `write_all` to a stalled client.
-    conns: Arc<Mutex<Vec<(u64, TcpStream)>>>,
-    reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    dispatched: Arc<AtomicU64>,
-    stats: Arc<ServerStats>,
-    trace: Option<TraceSink>,
-    metrics: Option<Arc<MetricsHub>>,
-    sampler_thread: Option<JoinHandle<()>>,
+    conns: Mutex<Vec<(u64, TcpStream)>>,
+    reader_threads: Mutex<Vec<JoinHandle<()>>>,
+    stop: AtomicBool,
     /// Drain mode: while set, readers answer request frames with
     /// [`Redirect`]s instead of dispatching (control verbs still work
     /// and in-flight requests complete normally).
-    draining: Arc<AtomicBool>,
+    draining: AtomicBool,
     /// Set by the wire `SHUTDOWN` verb; the hosting process polls
     /// [`Server::shutdown_requested`] and stops the server — the
     /// portable, signal-free supervision path.
-    shutdown_flag: Arc<AtomicBool>,
+    shutdown_flag: AtomicBool,
+}
+
+impl Shared {
+    /// The telemetry snapshot the `STATS` verb answers: counters plus the
+    /// dispatcher's occupancy gauges and the trace ring's drop count.
+    fn snapshot(&self) -> StatsSnapshot {
+        let dropped = self.trace.as_ref().map_or(0, TraceSink::dropped);
+        self.stats.snapshot(self.dispatcher.gauges(), dropped)
+    }
+}
+
+/// A running server; dropped or [`Server::stop`]ped, it shuts down
+/// cleanly.
+pub struct Server {
+    addr: SocketAddr,
+    shared: Arc<Shared>,
+    accept_thread: Option<JoinHandle<()>>,
+    worker_threads: Vec<JoinHandle<u64>>,
+    sampler_thread: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -162,33 +179,32 @@ impl Server {
         assert!(config.workers > 0, "need at least one worker");
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let dispatcher = Arc::new(make_dispatcher_batched(
-            config.policy,
-            config.workers,
-            config.replenish_batch,
-        ));
-        let conns: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
-        let reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let dispatched = Arc::new(AtomicU64::new(0));
-        let stats = Arc::new(ServerStats::new(config.workers));
-        let draining = Arc::new(AtomicBool::new(false));
-        let shutdown_flag = Arc::new(AtomicBool::new(false));
-        let metrics = config.metrics_interval.map(|interval| {
-            let interval_ps = (interval.as_nanos() as u64).max(1).saturating_mul(1_000);
-            Arc::new(MetricsHub::new(interval_ps, config.workers))
+        let shared = Arc::new(Shared {
+            dispatcher: make_dispatcher_batched(
+                config.policy,
+                config.workers,
+                config.replenish_batch,
+            ),
+            stats: ServerStats::new(config.workers),
+            trace: config.trace,
+            metrics: config.metrics_interval.map(|interval| {
+                let interval_ps = (interval.as_nanos() as u64).max(1).saturating_mul(1_000);
+                MetricsHub::new(interval_ps, config.workers)
+            }),
+            dispatched: AtomicU64::new(0),
+            conns: Mutex::new(Vec::new()),
+            reader_threads: Mutex::new(Vec::new()),
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            shutdown_flag: AtomicBool::new(false),
         });
 
         // The sampler thread: wakes SAMPLES_PER_WINDOW times per window,
         // reads the relaxed counters, and seals windows in the hub. It
         // never touches the dispatch path.
-        let sampler_thread = metrics.as_ref().map(|hub| {
-            let hub = Arc::clone(hub);
-            let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
-            let period = config
-                .metrics_interval
-                .expect("sampler without interval")
+        let sampler_thread = config.metrics_interval.map(|interval| {
+            let shared = Arc::clone(&shared);
+            let period = interval
                 .checked_div(SAMPLES_PER_WINDOW)
                 .unwrap_or(Duration::from_millis(1))
                 .max(Duration::from_micros(100));
@@ -196,46 +212,35 @@ impl Server {
                 .name("valetd-sampler".to_owned())
                 .spawn(move || {
                     let epoch = Instant::now();
-                    while !stop.load(Ordering::Acquire) {
+                    let hub = shared.metrics.as_ref().expect("sampler without a hub");
+                    while !shared.stop.load(Ordering::Acquire) {
                         std::thread::sleep(period);
                         let t_ps = (epoch.elapsed().as_nanos() as u64).saturating_mul(1_000);
-                        hub.tick(t_ps, &stats);
+                        hub.tick(t_ps, &shared.stats);
                     }
                 })
                 .expect("spawn sampler")
         });
 
-        let mut worker_threads = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let dispatcher = Arc::clone(&dispatcher);
-            let burn = config.burn;
-            let stats = Arc::clone(&stats);
-            let trace = config.trace.clone();
-            worker_threads.push(
+        let worker_threads = (0..config.workers)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                let burn = config.burn;
                 std::thread::Builder::new()
                     .name(format!("valetd-worker-{w}"))
-                    .spawn(move || worker_loop(w, &dispatcher, burn, &stats, trace.as_ref()))
-                    .expect("spawn worker"),
-            );
-        }
+                    .spawn(move || worker_loop(w, &shared, burn))
+                    .expect("spawn worker")
+            })
+            .collect();
 
         let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let dispatcher = Arc::clone(&dispatcher);
-            let conns = Arc::clone(&conns);
-            let reader_threads = Arc::clone(&reader_threads);
-            let dispatched = Arc::clone(&dispatched);
-            let stats = Arc::clone(&stats);
-            let trace = config.trace.clone();
-            let metrics = metrics.clone();
-            let draining = Arc::clone(&draining);
-            let shutdown_flag = Arc::clone(&shutdown_flag);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("valetd-accept".to_owned())
                 .spawn(move || {
                     let mut conn_idx: u64 = 0;
                     for incoming in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
+                        if shared.stop.load(Ordering::Acquire) {
                             break;
                         }
                         let Ok(stream) = incoming else { continue };
@@ -248,37 +253,21 @@ impl Server {
                             continue;
                         };
                         let reply = Arc::new(Mutex::new(stream));
-                        conns
+                        shared
+                            .conns
                             .lock()
                             .expect("conn registry")
                             .push((conn, shutdown_handle));
-                        let dispatcher = Arc::clone(&dispatcher);
-                        let dispatched = Arc::clone(&dispatched);
-                        let reader_conns = Arc::clone(&conns);
-                        let stats = Arc::clone(&stats);
-                        let trace = trace.clone();
-                        let metrics = metrics.clone();
-                        let draining = Arc::clone(&draining);
-                        let shutdown_flag = Arc::clone(&shutdown_flag);
+                        let reader_shared = Arc::clone(&shared);
                         let handle = std::thread::Builder::new()
                             .name(format!("valetd-reader-{conn}"))
                             .spawn(move || {
-                                reader_loop(
-                                    read_half,
-                                    conn,
-                                    &dispatcher,
-                                    &reply,
-                                    &dispatched,
-                                    &stats,
-                                    trace.as_ref(),
-                                    metrics.as_deref(),
-                                    &draining,
-                                    &shutdown_flag,
-                                );
+                                reader_loop(read_half, conn, &reply, &reader_shared);
                                 // The connection is gone: deregister it so
                                 // a long-running server doesn't hold an
                                 // entry per closed connection.
-                                reader_conns
+                                reader_shared
+                                    .conns
                                     .lock()
                                     .expect("conn registry")
                                     .retain(|(id, _)| *id != conn);
@@ -286,7 +275,7 @@ impl Server {
                             .expect("spawn reader");
                         // Reap handles of readers that already exited, or
                         // connection churn grows this registry forever.
-                        let mut registry = reader_threads.lock().expect("reader registry");
+                        let mut registry = shared.reader_threads.lock().expect("reader registry");
                         registry.retain(|h| !h.is_finished());
                         registry.push(handle);
                     }
@@ -296,19 +285,10 @@ impl Server {
 
         Ok(Server {
             addr,
-            stop,
-            dispatcher,
+            shared,
             accept_thread: Some(accept_thread),
             worker_threads,
-            conns,
-            reader_threads,
-            dispatched,
-            stats,
-            trace: config.trace,
-            metrics,
             sampler_thread,
-            draining,
-            shutdown_flag,
         })
     }
 
@@ -317,108 +297,53 @@ impl Server {
         self.addr
     }
 
-    /// Requests accepted and handed to the dispatcher so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Enters drain mode: new request frames are answered with
-    /// [`Redirect`]s instead of being dispatched; in-flight requests
-    /// complete normally; control verbs keep working. Idempotent. The
-    /// wire `DRAIN` verb drives the same switch remotely.
-    pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-    }
-
-    /// Leaves drain mode (undo [`Server::begin_drain`]). Idempotent.
-    pub fn resume(&self) {
-        self.draining.store(false, Ordering::Release);
-    }
-
-    /// Whether the server is currently refusing new requests.
+    /// Whether the server is currently refusing new requests (drain
+    /// mode, switched by the wire `DRAIN` verb): new request frames are
+    /// answered with [`Redirect`]s, in-flight requests complete normally.
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    /// Requests accepted but not yet completed. A draining server is
-    /// safe to stop exactly when this reaches zero (and stays there —
-    /// drain mode guarantees no new acceptances).
-    pub fn inflight(&self) -> u64 {
-        self.stats
-            .requests_total()
-            .saturating_sub(self.stats.completions_total())
+        self.shared.draining.load(Ordering::Acquire)
     }
 
     /// Whether a client asked this server to exit via the wire
     /// `SHUTDOWN` verb. The hosting process (e.g. `valetd`'s main
     /// loop) polls this and calls [`Server::stop`].
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_flag.load(Ordering::Acquire)
+        self.shared.shutdown_flag.load(Ordering::Acquire)
     }
 
     /// The telemetry snapshot the `STATS` verb answers, read in-process
     /// (counters plus the dispatcher's occupancy gauges and the trace
     /// ring's drop count).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats.snapshot(
-            self.dispatcher.gauges(),
-            self.trace.as_ref().map_or(0, TraceSink::dropped),
-        )
-    }
-
-    /// The windowed-metrics hub, when the server runs a sampler
-    /// ([`ServerConfig::metrics_interval`]).
-    pub fn metrics_hub(&self) -> Option<Arc<MetricsHub>> {
-        self.metrics.clone()
+        self.shared.snapshot()
     }
 
     /// Renders the Prometheus text exposition for the server's current
     /// state (what `valetd --metrics-addr` serves).
     pub fn prometheus_text(&self) -> String {
-        render_prometheus(&self.stats_snapshot(), self.metrics.as_deref())
+        (self.prometheus_renderer())()
     }
 
     /// A `'static` clone of [`Server::prometheus_text`] for handing to a
     /// [`crate::MetricsExporter`] thread, which outlives any borrow of
     /// this handle.
     pub fn prometheus_renderer(&self) -> impl Fn() -> String + Send + Sync + 'static {
-        let stats = Arc::clone(&self.stats);
-        let dispatcher = Arc::clone(&self.dispatcher);
-        let trace = self.trace.clone();
-        let metrics = self.metrics.clone();
-        move || {
-            let snapshot = stats.snapshot(
-                dispatcher.gauges(),
-                trace.as_ref().map_or(0, TraceSink::dropped),
-            );
-            render_prometheus(&snapshot, metrics.as_deref())
-        }
-    }
-
-    /// Blocks the calling thread until the accept loop exits (i.e.
-    /// forever, absent [`Server::stop`] from another thread).
-    pub fn wait(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        let shared = Arc::clone(&self.shared);
+        move || render_prometheus(&shared.snapshot(), shared.metrics.as_ref())
     }
 
     /// Stops accepting, drains, and joins every thread. Returns per-worker
     /// completion counts.
     pub fn stop(mut self) -> Vec<u64> {
-        self.shutdown_internals();
-        let mut completions = Vec::new();
-        for handle in self.worker_threads.drain(..) {
-            completions.push(handle.join().unwrap_or(0));
-        }
-        completions
+        self.halt(false)
     }
 
     /// [`Server::stop`] for a drained node: joins the workers *before*
-    /// any socket is closed, so every completion already counted in
-    /// [`Server::inflight`] has its response on the wire.
+    /// any socket is closed, so every completion already counted has its
+    /// response on the wire.
     ///
-    /// A supervisor that watches `inflight() == 0` and then calls plain
+    /// A supervisor that watches the in-flight count (the `DRAIN`
+    /// verb's reply) reach zero and then calls plain
     /// [`Server::stop`] can race a worker between counting a completion
     /// and writing the reply — `stop` force-closes connections first and
     /// the reply is lost. This variant closes that window; the price is
@@ -426,21 +351,28 @@ impl Server {
     /// until TCP gives up, so only use it after a drain (when clients
     /// are live and cooperating).
     pub fn stop_after_drain(mut self) -> Vec<u64> {
-        self.stop.store(true, Ordering::Release);
+        self.halt(true)
+    }
+
+    /// The one shutdown sequence: unblock and join the accept loop,
+    /// force-close live connections so readers see EOF and any worker
+    /// blocked in a response write errors out, join readers and the
+    /// sampler, shut the dispatcher and join the workers. `drained`
+    /// joins the workers first instead (see [`Server::stop_after_drain`]).
+    /// No write mutex is taken here — a blocked writer is holding it.
+    fn halt(&mut self, drained: bool) -> Vec<u64> {
+        self.shared.stop.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        self.dispatcher.shutdown();
-        let mut completions = Vec::new();
-        for handle in self.worker_threads.drain(..) {
-            completions.push(handle.join().unwrap_or(0));
-        }
-        for (_, handle) in self.conns.lock().expect("conn registry").drain(..) {
+        let drained_completions = drained.then(|| self.join_workers());
+        for (_, handle) in self.shared.conns.lock().expect("conn registry").drain(..) {
             let _ = handle.shutdown(Shutdown::Both);
         }
         let readers: Vec<JoinHandle<()>> = self
+            .shared
             .reader_threads
             .lock()
             .expect("reader registry")
@@ -452,179 +384,146 @@ impl Server {
         if let Some(handle) = self.sampler_thread.take() {
             let _ = handle.join();
         }
-        completions
+        drained_completions.unwrap_or_else(|| self.join_workers())
     }
 
-    fn shutdown_internals(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // Force-close live connections so reader threads see EOF and any
-        // worker blocked in a response write errors out. No write mutex
-        // is taken here — a blocked writer is holding it.
-        for (_, handle) in self.conns.lock().expect("conn registry").drain(..) {
-            let _ = handle.shutdown(Shutdown::Both);
-        }
-        let readers: Vec<JoinHandle<()>> =
-            self.reader_threads.lock().expect("reader registry").drain(..).collect();
-        for handle in readers {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.sampler_thread.take() {
-            let _ = handle.join();
-        }
-        self.dispatcher.shutdown();
+    /// Shuts the dispatcher and joins the workers: per-worker completion
+    /// counts.
+    fn join_workers(&mut self) -> Vec<u64> {
+        self.shared.dispatcher.shutdown();
+        self.worker_threads
+            .drain(..)
+            .map(|handle| handle.join().unwrap_or(0))
+            .collect()
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if !self.stop.load(Ordering::Acquire) {
-            self.shutdown_internals();
-        }
-        // Workers exit via dispatcher shutdown; detach any that stop()
-        // didn't join.
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
+        if !self.shared.stop.load(Ordering::Acquire) {
+            self.halt(false);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn reader_loop(
     mut read_half: TcpStream,
     conn: u64,
-    dispatcher: &Dispatcher<ServerJob>,
     reply: &Arc<Mutex<TcpStream>>,
-    dispatched: &AtomicU64,
-    stats: &ServerStats,
-    trace: Option<&TraceSink>,
-    metrics: Option<&MetricsHub>,
-    draining: &AtomicBool,
-    shutdown_flag: &AtomicBool,
+    shared: &Shared,
 ) {
+    let Shared {
+        dispatcher,
+        stats,
+        dispatched,
+        draining,
+        ..
+    } = shared;
+    let trace = shared.trace.as_ref();
     let mut frames = FrameReader::default();
     // Runs until EOF or a socket/protocol error drops the connection.
     while let Ok(Some(payload)) = frames.next_frame(&mut read_half) {
-        // The STATS verb is answered inline: it never touches the
+        // Control verbs are answered inline: they never touch the
         // dispatcher, the sequence counter, or the request counters, so
         // querying telemetry perturbs neither dispatch nor statistics.
-        if payload.first() == Some(&KIND_STATS_REQUEST) {
-            let dropped = trace.map_or(0, TraceSink::dropped);
-            let frame = stats.snapshot(dispatcher.gauges(), dropped).encode();
-            if let Ok(mut stream) = reply.lock() {
-                let _ = stream.write_all(&frame);
-            }
-            continue;
-        }
-        // The METRICS verb is likewise answered inline. Without a
-        // sampler, the reply is well-formed but empty (zero interval,
-        // zero windows) so clients need no out-of-band configuration.
-        if payload.first() == Some(&KIND_METRICS_REQUEST) {
-            let Ok(since) = decode_metrics_request(payload) else {
-                break; // protocol error: drop the connection
-            };
-            let reply_frame = match metrics {
-                Some(hub) => hub.reply_since(since),
-                None => MetricsReply {
-                    workers: stats.worker_count() as u32,
-                    ..MetricsReply::default()
-                },
-            }
-            .encode();
-            if let Ok(mut stream) = reply.lock() {
-                let _ = stream.write_all(&reply_frame);
-            }
-            continue;
-        }
-        // The DRAIN verb flips/reports drain mode and always answers
-        // with the current state plus the in-flight count, so a
-        // supervisor can poll the same verb until the node is empty.
-        if payload.first() == Some(&KIND_DRAIN_REQUEST) {
-            let Ok(action) = decode_drain_request(payload) else {
-                break; // protocol error: drop the connection
-            };
-            match action {
-                DrainAction::Begin => draining.store(true, Ordering::Release),
-                DrainAction::Resume => draining.store(false, Ordering::Release),
-                DrainAction::Query => {}
-            }
-            let frame = DrainReply {
-                draining: draining.load(Ordering::Acquire),
-                inflight: stats
-                    .requests_total()
-                    .saturating_sub(stats.completions_total()),
-            }
-            .encode();
-            if let Ok(mut stream) = reply.lock() {
-                let _ = stream.write_all(&frame);
-            }
-            continue;
-        }
-        // The SHUTDOWN verb raises a flag the hosting process polls
-        // (`Server::shutdown_requested`), then acknowledges. The reader
-        // keeps serving — actual teardown is the host's call.
-        if payload.first() == Some(&KIND_SHUTDOWN_REQUEST) {
-            shutdown_flag.store(true, Ordering::Release);
-            if let Ok(mut stream) = reply.lock() {
-                let _ = stream.write_all(&encode_shutdown_response());
-            }
-            continue;
-        }
-        // While draining, request frames are refused with a redirect:
-        // not dispatched, not counted as accepted (so `requests −
-        // completions` stays the honest in-flight gauge), but tallied
-        // in the redirects counter for the cluster accounting.
-        if draining.load(Ordering::Acquire) {
-            if let Ok(req) = Request::decode(payload) {
-                stats.note_redirect();
-                let frame = Redirect { req_id: req.req_id }.encode();
-                if let Ok(mut stream) = reply.lock() {
-                    let _ = stream.write_all(&frame);
+        let answer = match payload.first().copied() {
+            Some(KIND_STATS_REQUEST) => shared.snapshot().encode(),
+            // Without a sampler, the reply is well-formed but empty
+            // (zero interval, zero windows) so clients need no
+            // out-of-band configuration.
+            Some(KIND_METRICS_REQUEST) => {
+                let Ok(since) = decode_metrics_request(payload) else {
+                    break; // protocol error: drop the connection
+                };
+                match &shared.metrics {
+                    Some(hub) => hub.reply_since(since),
+                    None => MetricsReply {
+                        workers: stats.worker_count() as u32,
+                        ..MetricsReply::default()
+                    },
                 }
+                .encode()
+            }
+            // DRAIN flips/reports drain mode and always answers with the
+            // current state plus the in-flight count, so a supervisor can
+            // poll the same verb until the node is empty.
+            Some(KIND_DRAIN_REQUEST) => {
+                let Ok(action) = decode_drain_request(payload) else {
+                    break; // protocol error: drop the connection
+                };
+                match action {
+                    DrainAction::Begin => draining.store(true, Ordering::Release),
+                    DrainAction::Resume => draining.store(false, Ordering::Release),
+                    DrainAction::Query => {}
+                }
+                DrainReply {
+                    draining: draining.load(Ordering::Acquire),
+                    inflight: stats
+                        .requests_total()
+                        .saturating_sub(stats.completions_total()),
+                }
+                .encode()
+                .to_vec()
+            }
+            // SHUTDOWN raises a flag the hosting process polls
+            // (`Server::shutdown_requested`), then acknowledges. The
+            // reader keeps serving — actual teardown is the host's call.
+            Some(KIND_SHUTDOWN_REQUEST) => {
+                shared.shutdown_flag.store(true, Ordering::Release);
+                encode_shutdown_response().to_vec()
+            }
+            // While draining, request frames are refused with a redirect:
+            // not dispatched, not counted as accepted (so `requests −
+            // completions` stays the honest in-flight gauge), but tallied
+            // in the redirects counter for the cluster accounting.
+            _ if draining.load(Ordering::Acquire) => {
+                let Ok(req) = Request::decode(payload) else {
+                    break; // protocol error: drop the connection
+                };
+                stats.note_redirect();
+                Redirect { req_id: req.req_id }.encode().to_vec()
+            }
+            _ => {
+                let seq = dispatched.fetch_add(1, Ordering::Relaxed);
+                if let Some(sink) = trace {
+                    sink.record(seq, Hop::Arrival, conn as u16, 0);
+                }
+                let Ok(req) = Request::decode(payload) else {
+                    break; // protocol error: drop the connection
+                };
+                if let Some(sink) = trace {
+                    sink.record(seq, Hop::Reassembled, conn as u16, 0);
+                }
+                stats.note_request(4 + payload.len() as u64);
+                // Stamped before the hand-off: `submit` wakes a worker,
+                // and on a busy CPU that worker runs (and stamps
+                // `Started`) before this thread gets to its next line.
+                if let Some(sink) = trace {
+                    sink.record(seq, Hop::Dispatched, conn as u16, 0);
+                }
+                dispatcher.submit(
+                    RouteKey { conn, seq },
+                    ServerJob {
+                        req,
+                        reply: Arc::clone(reply),
+                        seq,
+                        conn,
+                    },
+                );
                 continue;
             }
-            break; // protocol error: drop the connection
-        }
-        let seq = dispatched.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = trace {
-            sink.record(seq, Hop::Arrival, conn as u16, 0);
-        }
-        let Ok(req) = Request::decode(payload) else {
-            break; // protocol error: drop the connection
         };
-        if let Some(sink) = trace {
-            sink.record(seq, Hop::Reassembled, conn as u16, 0);
+        if let Ok(mut stream) = reply.lock() {
+            let _ = stream.write_all(&answer);
         }
-        stats.note_request(4 + payload.len() as u64);
-        // Stamped before the hand-off: `submit` wakes a worker, and on a
-        // busy CPU that worker runs (and stamps `Started`) before this
-        // thread gets to its next line.
-        if let Some(sink) = trace {
-            sink.record(seq, Hop::Dispatched, conn as u16, 0);
-        }
-        dispatcher.submit(
-            RouteKey { conn, seq },
-            ServerJob {
-                req,
-                reply: Arc::clone(reply),
-                seq,
-                conn,
-            },
-        );
     }
 }
 
-fn worker_loop(
-    worker: usize,
-    dispatcher: &Dispatcher<ServerJob>,
-    burn: BurnMode,
-    stats: &ServerStats,
-    trace: Option<&TraceSink>,
-) -> u64 {
+fn worker_loop(worker: usize, shared: &Shared, burn: BurnMode) -> u64 {
+    let Shared {
+        dispatcher, stats, ..
+    } = shared;
+    let trace = shared.trace.as_ref();
     crate::reduce_timer_slack();
     let mut completions = 0u64;
     while let Some(job) = dispatcher.recv(worker) {

@@ -73,6 +73,6 @@ pub use summary::{
     COMPONENTS,
 };
 pub use timeseries::{
-    derive_series, digest_series, merge_series, resample, write_series_store, DerivedPoint,
-    JobSeries, SeriesMeta, SeriesRecorder, SeriesStore, SeriesWindow, SERIES_VERSION,
+    derive_series, digest_series, resample, write_series_store, DerivedPoint, JobSeries,
+    SeriesMeta, SeriesRecorder, SeriesStore, SeriesWindow, SERIES_VERSION,
 };

@@ -368,25 +368,6 @@ pub fn derive_series(windows: &[SeriesWindow], interval_ps: u64, cores: u64) -> 
         .collect()
 }
 
-/// Merges two window series index-by-index (e.g. replications of the
-/// same point). Indices present in only one side pass through.
-pub fn merge_series(a: &[SeriesWindow], b: &[SeriesWindow]) -> Vec<SeriesWindow> {
-    let len = a.len().max(b.len());
-    let mut out = Vec::with_capacity(len);
-    for i in 0..len {
-        match (a.get(i), b.get(i)) {
-            (Some(wa), Some(wb)) => {
-                let mut w = wa.clone();
-                w.absorb(wb);
-                out.push(w);
-            }
-            (Some(w), None) | (None, Some(w)) => out.push(w.clone()),
-            (None, None) => unreachable!(),
-        }
-    }
-    out
-}
-
 /// Coarsens a series by folding every `factor` consecutive windows
 /// into one (new interval = old interval × factor).
 ///
@@ -764,14 +745,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_aligns_by_index_and_resample_coarsens() {
+    fn resample_coarsens_and_preserves_counts() {
         let rec = steady_recorder();
         let a = rec.windows().to_vec();
-        let merged = merge_series(&a, &a);
-        assert_eq!(merged.len(), a.len());
-        assert_eq!(merged[3].arrivals, 2 * a[3].arrivals);
-        assert_eq!(merged[3].latency.count(), 2 * a[3].latency.count());
-
         let coarse = resample(&a, 5);
         assert_eq!(coarse.len(), 2);
         assert_eq!(
