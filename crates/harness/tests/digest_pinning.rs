@@ -64,6 +64,54 @@ fn fig2_matrices_reproduce_their_pinned_digests_on_any_thread_count() {
     }
 }
 
+/// `digest_reports` of the hardware-path sim matrices at reduced request
+/// counts and the catalogue seed: the partitioned and static policies
+/// (`fig7a|b|c`), the Masstree scans that schedule past the ladder
+/// horizon into its overflow heap (`fig7b`), outstanding-request depth,
+/// the 16- and 64-core dispatcher, and preemption's same-instant
+/// requeue pushes (`ablation_preemption`). Recorded on the commit before
+/// `ServerSim` took send-slot releases and arrivals out of the general
+/// event queue.
+const SIM_MATRIX_DIGESTS: [(&str, u64, &str); 7] = [
+    ("fig7a", 8_000, "c56b1b15531409c0"),
+    ("fig7b", 8_000, "5b231c211f204a53"),
+    ("fig7c", 8_000, "4eb8405b83b92383"),
+    ("ablation_outstanding", 8_000, "0ff3c21448756c37"),
+    ("ablation_dispatcher", 8_000, "91496a411c82ec87"),
+    ("ablation_dispatcher64", 8_000, "8fe39e433265846b"),
+    ("ablation_preemption", 8_000, "fc846585f244b781"),
+];
+
+/// A predefined matrix, or one the `ablation_dispatcher` scenario builds
+/// itself (its 64-core scale-up), at `requests` per job.
+fn sim_matrix(name: &str, requests: u64) -> harness::ScenarioMatrix {
+    let params = harness::ScenarioParams {
+        requests: Some(requests),
+        ..harness::ScenarioParams::default()
+    };
+    match harness::ScenarioMatrix::named(name) {
+        Some(matrix) => matrix.requests(requests, requests / 10),
+        None => harness::build_matrices(
+            harness::find_scenario("ablation_dispatcher").unwrap(),
+            &params,
+        )
+        .into_iter()
+        .find(|m| m.name == name)
+        .unwrap_or_else(|| panic!("no matrix `{name}`")),
+    }
+}
+
+#[test]
+fn sim_matrices_reproduce_their_pinned_digests_on_any_thread_count() {
+    for (name, requests, pinned) in SIM_MATRIX_DIGESTS {
+        let matrix = sim_matrix(name, requests);
+        for threads in [1, 8] {
+            let digest = digest_reports(&[harness::run_matrix(&matrix, threads).0]);
+            assert_eq!(digest, pinned, "{name}, {threads} threads");
+        }
+    }
+}
+
 fn bench_store(scenario: &str) -> (String, TrajectoryStore) {
     let path = format!("{}/../../BENCH/{scenario}.json", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));

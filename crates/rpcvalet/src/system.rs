@@ -442,9 +442,13 @@ pub struct RunResult {
     /// recorded from the first request — warm-up transients included —
     /// which is the point of the trajectory view.
     pub series: Option<telemetry::JobSeries>,
-    /// Total simulator events popped over the whole run — the
-    /// denominator of the events/sec throughput the harness timing
-    /// sidecar reports.
+    /// Total simulator events fired over the whole run — the denominator
+    /// of the events/sec throughput the harness timing sidecar reports.
+    /// Each arrival counts as one event although it is merged with the
+    /// queue head instead of queued; a send-slot release nothing waited
+    /// on counts as none, because it is applied lazily and never becomes
+    /// an event (see `Ev::SlotFreed`). A count of work done, not a
+    /// measurement: no report or digest includes it.
     pub events_processed: u64,
     /// Peak live message records: the slab's footprint. Bounded by the
     /// in-flight request count (not the total request count) whenever
@@ -477,10 +481,12 @@ impl RunResult {
 /// Event payloads use `u32` ids (message slab slots, cores, dispatchers,
 /// sources all fit easily): a 12-byte `Ev` keeps the event-queue entry
 /// at 32 bytes, which measurably cuts queue memory traffic.
+///
+/// Arrivals are not queued: the runner holds the next one under its
+/// taken sequence number and fires it when the queue has nothing
+/// earlier (`Runner::arrival`).
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// The traffic generator emits the next arrival.
-    Arrival,
     /// A message's final packet has been written and counted (§4.2).
     MsgComplete { msg: u32 },
     /// A message-completion packet reaches dispatcher `d` (§4.3).
@@ -491,7 +497,13 @@ enum Ev {
     ServiceDone { core: u32, msg: u32 },
     /// A replenish notification reaches dispatcher `d`.
     ReplenishAtDispatcher { core: u32, d: u32 },
-    /// A send slot frees at the remote source (flow control).
+    /// A send slot frees at the remote source while an arrival from it
+    /// waits (flow control): the release injects the waiter. A release
+    /// nothing waits on is only a counter update at the source, so it is
+    /// recorded instead (`RunScratch::releases`) and applied, in
+    /// `(time, seq)` order, when the source next needs a slot; it becomes
+    /// this event, under the number it took, only if an arrival from the
+    /// source is deferred before it falls due.
     SlotFreed { src: u32, slot: u32 },
     /// A core's preemption timer fires: the request is requeued.
     Preempted { core: u32, msg: u32 },
@@ -547,6 +559,19 @@ struct RunScratch {
     /// the ladder's ring allocations via [`Engine::reset`] instead of
     /// rebuilding 512 rings per run.
     engine: Option<Engine<Ev>>,
+    /// Per source, the lazy send-slot releases still in flight, sorted
+    /// by `(time, seq)` (see `Ev::SlotFreed`). Applied ones are dropped
+    /// as soon as they are due, so each list holds at most the source's
+    /// `S` slots.
+    releases: Vec<Vec<Release>>,
+}
+
+/// A send-slot release recorded instead of queued as `Ev::SlotFreed`.
+struct Release {
+    time: SimTime,
+    /// The sequence number taken when the release was scheduled.
+    seq: u64,
+    slot: u32,
 }
 
 thread_local! {
@@ -570,8 +595,6 @@ struct LatencyCache {
     request_packets: u64,
     /// `edge_packet_gap()`.
     packet_gap: SimDuration,
-    /// Reply TX occupancy: `backend_tx_per_packet × reply packets`.
-    reply_tx: SimDuration,
 }
 
 impl LatencyCache {
@@ -589,7 +612,6 @@ impl LatencyCache {
             fixed_overhead: chip.fixed_service_overhead(),
             request_packets: packets_for(cfg.request_bytes, chip.mtu_bytes),
             packet_gap: chip.edge_packet_gap(),
-            reply_tx: chip.backend_tx_per_packet * packets_for(cfg.reply_bytes, chip.mtu_bytes),
         }
     }
 
@@ -740,6 +762,13 @@ struct Runner<'a> {
     /// Slab id of the lazily pre-generated arrival (generation is
     /// one-ahead: the record is allocated when the arrival is scheduled).
     next_msg: usize,
+    /// `(time, seq)` of that arrival, `None` once every request has
+    /// arrived. It never enters the event queue: the run loop pops only
+    /// events that precede this key and fires the arrival when none does
+    /// — the merge `queueing::QueueingModel::run` does with its open-loop
+    /// arrival stream, here at the queue's own tie order, since `seq` is
+    /// taken exactly where a push would have taken it.
+    arrival: Option<(SimTime, u64)>,
     /// Arrivals deferred by exhausted send slots, per source.
     pending_by_src: Vec<MsgList>,
     generated: u64,
@@ -823,6 +852,10 @@ impl<'a> Runner<'a> {
             .reserve((cfg.requests - cfg.warmup) as usize);
         scratch.critical_samples.clear();
         scratch.pending_traces.clear();
+        for releases in &mut scratch.releases {
+            releases.clear();
+        }
+        scratch.releases.resize_with(cfg.cluster_nodes, Vec::new);
         let engine = match scratch.engine.take() {
             Some(mut engine) => {
                 engine.reset();
@@ -852,6 +885,7 @@ impl<'a> Runner<'a> {
             core_cq: vec![MsgList::EMPTY; chip.cores],
             core_state: vec![CoreState::Idle; chip.cores],
             next_msg: usize::MAX,
+            arrival: None,
             pending_by_src: vec![MsgList::EMPTY; cfg.cluster_nodes],
             generated: 0,
             completions: 0,
@@ -881,8 +915,19 @@ impl<'a> Runner<'a> {
 
     fn run(mut self) -> RunResult {
         self.schedule_next_arrival();
-        while let Some(scheduled) = self.engine.pop() {
-            let now = scheduled.time;
+        loop {
+            // The pending arrival fires when the queue holds nothing
+            // that precedes its key (`event` is `None`).
+            let (now, event) = match self.arrival {
+                Some((time, seq)) => match self.engine.pop_before(time, seq) {
+                    Some(s) => (s.time, Some(s.event)),
+                    None => (time, None),
+                },
+                None => match self.engine.pop() {
+                    Some(s) => (s.time, Some(s.event)),
+                    None => break,
+                },
+            };
             // System state is piecewise-constant between events, so a
             // tick that falls between the previous event and this one
             // observes exactly the state at its nominal instant —
@@ -892,8 +937,12 @@ impl<'a> Runner<'a> {
             if self.series.is_some() && self.series_next_ps <= now.as_ps() {
                 self.sample_series_until(now);
             }
-            match scheduled.event {
-                Ev::Arrival => self.on_arrival(now),
+            let Some(event) = event else {
+                let (_, seq) = self.arrival.take().expect("a miss fires the arrival");
+                self.on_arrival(now, seq);
+                continue;
+            };
+            match event {
                 Ev::MsgComplete { msg } => self.on_msg_complete(now, msg as usize),
                 Ev::AtDispatcher { msg, d } => {
                     self.dispatchers[d as usize].enqueue(msg as u64);
@@ -917,6 +966,14 @@ impl<'a> Runner<'a> {
                 }
                 Ev::SwTryDequeue { core } => self.on_sw_try_dequeue(now, core as usize),
                 Ev::SwGranted { core } => self.on_sw_granted(now, core as usize),
+            }
+        }
+        // Each release never applied would have been the run's last
+        // events; the sampler's ticks up to them see the final state.
+        if self.series.is_some() {
+            let last = self.scratch.releases.iter().flatten().map(|r| r.time).max();
+            if let Some(last) = last {
+                self.sample_series_until(last);
             }
         }
         self.finish()
@@ -960,10 +1017,12 @@ impl<'a> Runner<'a> {
             // Monotone ids in tracing mode keep this table id-indexed.
             self.scratch.pending_traces.push(PendingTrace::default());
         }
-        self.engine.schedule_at(time, Ev::Arrival);
+        debug_assert!(time >= self.engine.now(), "arrivals are time-ordered");
+        self.arrival = Some((time, self.engine.reserve_seq()));
     }
 
-    fn on_arrival(&mut self, now: SimTime) {
+    /// The arrival keyed `(now, seq)` fires.
+    fn on_arrival(&mut self, now: SimTime, seq: u64) {
         // Generation is lazy one-ahead, so the firing arrival always
         // corresponds to the most recently allocated message record.
         let msg = self.next_msg;
@@ -973,14 +1032,37 @@ impl<'a> Runner<'a> {
             // windows show the offered-vs-completed gap.
             series.note_arrival(now.as_ps());
         }
+        // The source's releases that precede this arrival were due
+        // before it: applied in their own order, they leave the free
+        // stack — and so every slot id — as eager events would have.
+        self.apply_releases(src, (now, seq));
         if let Some(slot) = self.domain.try_acquire(src) {
             self.inject_message(now, msg, slot);
         } else {
             self.deferrals += 1;
             self.pending_total += 1;
             self.pending_by_src[src].push_back(&mut self.scratch.msgs, msg);
+            // The source has a waiter now: each release still in flight
+            // becomes the event that injects it, under its own number.
+            for r in self.scratch.releases[src].drain(..) {
+                let freed = Ev::SlotFreed {
+                    src: src as u32,
+                    slot: r.slot,
+                };
+                self.engine.schedule_reserved(r.time, r.seq, freed);
+            }
         }
         self.schedule_next_arrival();
+    }
+
+    /// Applies `src`'s recorded releases whose `(time, seq)` precede
+    /// `key`, in that order.
+    fn apply_releases(&mut self, src: usize, key: (SimTime, u64)) {
+        let releases = &mut self.scratch.releases[src];
+        let due = releases.partition_point(|r| (r.time, r.seq) < key);
+        for r in releases.drain(..due) {
+            self.domain.release(src, r.slot as usize);
+        }
     }
 
     /// Injects a message's packets into the arrival backend's receive
@@ -1197,11 +1279,6 @@ impl<'a> Runner<'a> {
         let src = state.src as usize;
         let b = chip.backend_for_source(src);
 
-        // Reply transmission occupies the backend's TX pipeline (bandwidth
-        // accounting only; the reply leaves the measured path here).
-        let tx_ready = now + self.lat.core_to_backend(core, b);
-        self.backends[b].tx.schedule(tx_ready, self.lat.reply_tx);
-
         // Latency: reception of the send → replenish posted (now).
         self.completions += 1;
         self.core_completions[core] += 1;
@@ -1247,18 +1324,34 @@ impl<'a> Runner<'a> {
         }
 
         // The message's lifecycle ends here; its slab slot recycles (the
-        // pending SlotFreed event carries src/slot by value).
+        // release carries src/slot by value).
         self.scratch.msgs.free(msg);
 
         // Replenish propagates to the source (frees its send slot) …
         let slot_free = now + self.lat.core_to_backend(core, b) + chip.wire_latency;
-        self.engine.schedule_at(
-            slot_free,
-            Ev::SlotFreed {
+        let seq = self.engine.reserve_seq();
+        if self.pending_by_src[src].is_empty() {
+            // … a counter update nothing waits on: record it (see
+            // `Ev::SlotFreed`), after applying the ones due before now so
+            // the list holds only releases still in flight. The new
+            // number is the list's largest, so it sorts after every
+            // record due at or before its time.
+            self.apply_releases(src, (now, 0));
+            let releases = &mut self.scratch.releases[src];
+            let at = releases.partition_point(|r| r.time <= slot_free);
+            let release = Release {
+                time: slot_free,
+                seq,
+                slot: state.slot,
+            };
+            releases.insert(at, release);
+        } else {
+            let freed = Ev::SlotFreed {
                 src: src as u32,
                 slot: state.slot,
-            },
-        );
+            };
+            self.engine.schedule_reserved(slot_free, seq, freed);
+        }
 
         // … and, for dispatched policies, to the owning NI dispatcher.
         if let Some(d) = self.dispatcher_of(core) {
@@ -1290,6 +1383,11 @@ impl<'a> Runner<'a> {
     }
 
     fn on_slot_freed(&mut self, now: SimTime, src: usize, slot: usize) {
+        // A recorded release of this source was scheduled after this one
+        // (records are only made while nothing waits, and a release in
+        // flight as an event predates them), so it precedes this event
+        // exactly when it falls due strictly earlier.
+        self.apply_releases(src, (now, 0));
         self.domain.release(src, slot);
         if let Some(msg) = self.pending_by_src[src].pop_front(&mut self.scratch.msgs) {
             self.pending_total -= 1;
@@ -1946,5 +2044,117 @@ mod tests {
     fn replay_rejects_short_schedule() {
         let schedule = std::sync::Arc::new(synthetic_schedule(10, 500, 600.0));
         let _ = replay_cfg(schedule, 500);
+    }
+
+    /// One replayed request: arrival ps, recorded source, service ns.
+    type Row = (u64, u16, f64);
+
+    /// A replay of `rows` on a `nodes`-node cluster with one send slot
+    /// per source, so every second request from a source waits on the
+    /// first one's release.
+    fn one_slot_replay(policy: &Policy, nodes: usize, rows: &[Row]) -> RunResult {
+        let schedule = RequestSchedule::new(
+            rows.iter().map(|r| r.0).collect(),
+            rows.iter().map(|r| r.1).collect(),
+            rows.iter().map(|r| r.2).collect(),
+        );
+        let cfg = SystemConfig::builder()
+            .policy(policy.clone())
+            .cluster_nodes(nodes)
+            .send_slots_per_node(1)
+            .requests(rows.len() as u64)
+            .warmup(0)
+            .trace_capacity(rows.len())
+            .schedule(std::sync::Arc::new(schedule))
+            .build();
+        ServerSim::new(cfg).run()
+    }
+
+    /// The instant request 0 of a probe run (one 600 ns request from
+    /// cluster node 1 at t = 0) frees its send slot, and the instant its
+    /// service completed.
+    fn probe_release(policy: &Policy) -> (u64, u64) {
+        let probe = one_slot_replay(policy, 2, &[(0, 0, 600.0)]);
+        let t = probe.traces.records()[0];
+        let chip = ChipParams::table1();
+        let back = chip.core_to_backend(t.core as usize, chip.backend_for_source(1));
+        let release = SimTime::from_ps(t.completed_ps) + back + chip.wire_latency;
+        (t.completed_ps, release.as_ps())
+    }
+
+    /// Exact `(time, seq)` ties between an arrival and its source's slot
+    /// release, under every policy. An arrival's sequence number is taken
+    /// when the arrival before it fires, a release's when the service it
+    /// ends completes, so the row that precedes the tied arrival decides
+    /// which of the two fires first at the shared picosecond: the
+    /// deferral counts below prove each tie is hit, and the digest pins
+    /// every measured field. The engine-health counters
+    /// (`events_processed`, the queue overflow counts) describe how the
+    /// run was executed, not what it measured, and are left out.
+    #[test]
+    fn same_picosecond_arrival_and_slot_release_pin_their_digest() {
+        let mut digest = metrics::Digest64::new();
+        for policy in [
+            Policy::hw_single_queue(),
+            Policy::hw_partitioned(),
+            Policy::hw_static(),
+            Policy::sw_single_queue(),
+        ] {
+            let (done, release) = probe_release(&policy);
+            // (cluster nodes, rows, expected deferrals)
+            let cases: [(usize, Vec<Row>, u64); 6] = [
+                // The tied arrival's number predates the release's: it
+                // fires first, finds no slot, and the release injects it.
+                (2, vec![(0, 0, 600.0), (release, 0, 600.0)], 1),
+                // One picosecond either side of the tie.
+                (2, vec![(0, 0, 600.0), (release - 1, 0, 600.0)], 1),
+                (2, vec![(0, 0, 600.0), (release + 1, 0, 600.0)], 0),
+                // Another source's arrival just after the service ends
+                // takes the tied arrival's number after the release's:
+                // the release fires first and the arrival finds its slot.
+                (
+                    3,
+                    vec![(0, 0, 600.0), (done + 1, 1, 600.0), (release, 0, 600.0)],
+                    0,
+                ),
+                // The same arrival on the service's own picosecond fires
+                // before the service ends (its number is older), so the
+                // tied arrival's number predates the release again.
+                (
+                    3,
+                    vec![(0, 0, 600.0), (done, 1, 600.0), (release, 0, 600.0)],
+                    1,
+                ),
+                // A same-instant burst from one source queues behind its
+                // one slot and drains release by release; the later
+                // arrivals from both sources find their slots held.
+                (
+                    3,
+                    vec![
+                        (0, 0, 600.0),
+                        (0, 0, 300.0),
+                        (0, 1, 900.0),
+                        (0, 0, 600.0),
+                        (release, 0, 600.0),
+                        (release, 1, 600.0),
+                    ],
+                    4,
+                ),
+            ];
+            for (nodes, rows, deferrals) in cases {
+                let r = one_slot_replay(&policy, nodes, &rows);
+                let label = format!("{policy:?} {rows:?}");
+                assert_eq!(r.flow_control_deferrals, deferrals, "{label}");
+                assert_eq!(r.measured, rows.len() as u64, "{label}");
+                let measured = RunResult {
+                    events_processed: 0,
+                    queue_overflow_pushes: 0,
+                    queue_overflow_migrations: 0,
+                    ..r
+                };
+                digest.write_str(&format!("{measured:?}"));
+            }
+        }
+        assert_eq!(digest.hex(), "e2e9d4373fd264e2");
     }
 }

@@ -98,13 +98,31 @@ impl<E> Engine<E> {
     /// Panics in debug builds if `time` is before the current instant.
     #[inline]
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(time, seq, event);
+    }
+
+    /// Takes the sequence number of an event the caller holds outside the
+    /// queue (see [`EventQueue::reserve_seq`]).
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedules `event` at the absolute instant `time` under `seq`, a
+    /// number taken earlier with [`Engine::reserve_seq`].
+    ///
+    /// # Panics
+    /// Panics in debug builds if `time` is before the current instant.
+    #[inline]
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
         debug_assert!(
             time >= self.now,
             "scheduling into the past: now={:?} target={:?}",
             self.now,
             time
         );
-        self.queue.push(time, event);
+        self.queue.push_reserved(time, seq, event);
     }
 
     /// Pops the earliest event and advances the clock to its firing time.
@@ -114,6 +132,23 @@ impl<E> Engine<E> {
         self.now = scheduled.time;
         self.processed += 1;
         Some(scheduled)
+    }
+
+    /// Pops the earliest event if its `(time, seq)` is below the key and
+    /// advances the clock to it. Otherwise pops nothing, advances the
+    /// clock to `time` and returns `None`: the caller fires the event it
+    /// holds under that key (its number from [`Engine::reserve_seq`])
+    /// there. Either way one event fires, and it is counted in
+    /// [`Engine::events_processed`]. Always inlined, like
+    /// [`EventQueue::pop_before`].
+    #[inline(always)]
+    pub fn pop_before(&mut self, time: SimTime, seq: u64) -> Option<Scheduled<E>> {
+        self.processed += 1;
+        let scheduled = self.queue.pop_before(time, seq);
+        let fires_at = scheduled.as_ref().map_or(time, |s| s.time);
+        debug_assert!(fires_at >= self.now, "event queue went backwards");
+        self.now = fires_at;
+        scheduled
     }
 }
 
@@ -203,6 +238,28 @@ mod tests {
         }
         assert_eq!(heap.now(), ladder.now());
         assert_eq!(heap.events_processed(), ladder.events_processed());
+    }
+
+    #[test]
+    fn pop_before_fires_the_held_event_at_its_key_on_a_miss() {
+        for mut e in [Engine::new(), Engine::with_horizon(SimDuration::from_ns(2))] {
+            let held = e.reserve_seq();
+            e.schedule_at(SimTime::from_ns(10), "queued");
+            e.schedule_at(SimTime::from_ns(4), "early");
+            // The queued head precedes the held key: it pops.
+            let s = e.pop_before(SimTime::from_ns(7), held).unwrap();
+            assert_eq!((s.event, e.now()), ("early", SimTime::from_ns(4)));
+            // A miss advances the clock to the key and counts one event.
+            assert!(e.pop_before(SimTime::from_ns(7), held).is_none());
+            assert_eq!(e.now(), SimTime::from_ns(7));
+            assert_eq!(e.events_processed(), 2);
+            // Pushed later under its older number, the held event pops
+            // before the one queued at the same instant.
+            e.schedule_reserved(SimTime::from_ns(10), held, "held");
+            assert_eq!(e.pop().unwrap().event, "held");
+            assert_eq!(e.pop().unwrap().event, "queued");
+            assert_eq!(e.events_processed(), 4);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   deterministic FIFO tie-break for simultaneous events: the
 //!   allocation-free [`wheel`] ladder/calendar queue the simulators run
 //!   on, and the reference binary heap it pops in bit-identical order
-//!   with.
+//!   with. Taken sequence numbers let a model hold events outside the
+//!   queue and still fire them in that exact order.
 //! * [`Engine`] — a thin driver that owns the clock and the event queue.
 //! * [`rng`] — seed-splitting utilities so that every simulated component
 //!   gets an independent, reproducible random stream.

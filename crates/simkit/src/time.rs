@@ -150,7 +150,7 @@ impl SimDuration {
         if ns <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((ns * PS_PER_NS as f64).round() as u64)
+        SimDuration(round_to_u64(ns * PS_PER_NS as f64))
     }
 
     /// Raw picoseconds.
@@ -202,7 +202,25 @@ impl SimDuration {
         if factor <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
+    }
+}
+
+/// `x.round() as u64` — half away from zero, NaN and negatives to 0,
+/// saturating at `u64::MAX` — without `f64::round`, which is a libm call
+/// on the baseline x86-64 target. Below 2⁵² truncation is exact and so is
+/// the fraction `x - t` (Sterbenz: `t ≤ x < 2t`, or `t = 0`), so one
+/// compare with 0.5 rounds exactly; at or above 2⁵² every `f64` is an
+/// integer and the saturating cast is already exact. NaN fails the first
+/// test and casts to 0.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const INTEGRAL_FROM: f64 = (1u64 << 52) as f64;
+    if x < INTEGRAL_FROM {
+        let t = x as u64;
+        t + (x - t as f64 >= 0.5) as u64
+    } else {
+        x as u64
     }
 }
 
@@ -316,6 +334,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn cycle_conversion_is_exact_at_2ghz() {
@@ -353,6 +372,85 @@ mod tests {
         assert_eq!(SimDuration::from_ns_f64(1.4994).as_ps(), 1_499);
         assert_eq!(SimDuration::from_ns_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_ns_f64(0.0005).as_ps(), 1);
+    }
+
+    fn check_round(x: f64) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            round_to_u64(x),
+            x.round() as u64,
+            "x = {:e} (bits {:#018x})",
+            x,
+            x.to_bits()
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn round_to_u64_matches_round_on_named_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5f64.next_down(),
+            0.5f64.next_up(),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+            two52 - 0.5,
+            (two52 - 0.5).next_down(),
+            u64::MAX as f64,
+            (u64::MAX as f64).next_down(),
+            (u64::MAX as f64).next_up(),
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.5,
+            -1.5,
+            -1e300,
+        ];
+        for x in [two52, two53] {
+            edges.extend([x.next_down(), x, x.next_up()]);
+        }
+        for x in edges {
+            check_round(x).unwrap();
+        }
+        assert_eq!(round_to_u64(f64::NAN), 0);
+        assert_eq!(round_to_u64(f64::INFINITY), u64::MAX);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn round_to_u64_matches_round_on_any_bits(bits in any::<u64>()) {
+            // Every sign, magnitude and class: subnormals, NaNs, ±∞.
+            check_round(f64::from_bits(bits))?;
+        }
+
+        #[test]
+        fn round_to_u64_matches_round_on_finite_positives(
+            x in 0.0..1.0f64,
+            scale in 0..64i32,
+        ) {
+            check_round(x * 2f64.powi(scale))?;
+        }
+
+        #[test]
+        fn round_to_u64_matches_round_around_every_half(k in any::<u64>(), shift in 0..64u32) {
+            // k + 0.5 exists for k < 2⁵²; check it and one ulp either side.
+            let k = (k >> shift) & ((1 << 52) - 1);
+            let half = k as f64 + 0.5;
+            for x in [half.next_down(), half, half.next_up()] {
+                check_round(x)?;
+            }
+        }
     }
 
     #[test]

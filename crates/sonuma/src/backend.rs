@@ -123,15 +123,15 @@ impl SerialResource {
     }
 }
 
-/// One NI backend: receive and transmit pipelines plus its mesh position.
+/// One NI backend: its receive pipeline plus its mesh position. Replies
+/// leave the measured path when the core posts them, so no transmit
+/// pipeline is modelled.
 #[derive(Debug, Clone, Copy)]
 pub struct NiBackend {
     /// Mesh tile this backend attaches to.
     pub tile: TileId,
     /// Receive-side pipeline (network → memory).
     pub rx: SerialResource,
-    /// Transmit-side pipeline (memory → network).
-    pub tx: SerialResource,
 }
 
 impl NiBackend {
@@ -140,7 +140,6 @@ impl NiBackend {
         NiBackend {
             tile,
             rx: SerialResource::new(),
-            tx: SerialResource::new(),
         }
     }
 }
@@ -190,14 +189,6 @@ mod tests {
         r.schedule(t(0), d(25));
         r.schedule(t(50), d(25));
         assert!((r.utilization(t(100)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backend_has_independent_pipelines() {
-        let mut b = NiBackend::new(TileId::new(0));
-        b.rx.schedule(t(0), d(100));
-        let o = b.tx.schedule(t(0), d(10));
-        assert_eq!(o.start, t(0), "tx must not queue behind rx");
     }
 
     #[test]
