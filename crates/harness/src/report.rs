@@ -120,14 +120,6 @@ pub struct SweepTiming {
     /// Aggregate simulator throughput: total events over total
     /// worker-busy seconds.
     pub events_per_sec: f64,
-    /// Total ladder event-queue overflow pushes across all jobs. Zero on
-    /// any well-sized steady-state sweep: the rolling window absorbs
-    /// every in-horizon schedule; a non-zero count flags a workload
-    /// whose lookahead exceeds the ladder horizon.
-    pub overflow_pushes: u64,
-    /// Total ladder overflow migrations (drain side of
-    /// `overflow_pushes`).
-    pub overflow_migrations: u64,
 }
 
 impl SweepTiming {
@@ -152,15 +144,8 @@ impl SweepTiming {
         } else {
             String::new()
         };
-        // Silence is the healthy state; a non-zero overflow count is
-        // worth a loud word in the run line.
-        let overflow = if self.overflow_pushes > 0 {
-            format!(", ladder overflow {}", self.overflow_pushes)
-        } else {
-            String::new()
-        };
         format!(
-            "[{} jobs in {:.1} s on {} threads, {:.2}x speedup{events}{overflow}]",
+            "[{} jobs in {:.1} s on {} threads, {:.2}x speedup{events}]",
             self.job_wall_ms.len(),
             self.total_wall_ms / 1e3,
             self.threads,
@@ -444,14 +429,6 @@ pub fn timing_from_outcomes(
         } else {
             0.0
         },
-        overflow_pushes: outcomes
-            .iter()
-            .map(|o| o.result.queue_overflow_pushes)
-            .sum(),
-        overflow_migrations: outcomes
-            .iter()
-            .map(|o| o.result.queue_overflow_migrations)
-            .sum(),
     }
 }
 

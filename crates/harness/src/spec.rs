@@ -301,13 +301,11 @@ pub struct Measurement {
     /// Simulator events popped (0 for live jobs, which have no event
     /// loop). Recorded in the timing sidecar, never in the report.
     pub sim_events: u64,
-    /// Ladder event-queue overflow pushes (0 for model/live jobs and
-    /// for any well-sized sim run — see [`rpcvalet::RunResult`]). Like
-    /// `sim_events`, a timing-sidecar health indicator, never part of
+    /// Always 0: the simulator's event calendars have no overflow path.
+    /// The field stays while the benchmark reads it; it is never part of
     /// the comparable report.
     pub queue_overflow_pushes: u64,
-    /// Ladder event-queue overflow migrations (the drain side of
-    /// `queue_overflow_pushes`).
+    /// Always 0, like [`Measurement::queue_overflow_pushes`].
     pub queue_overflow_migrations: u64,
     /// Peak shared-CQ depth across dispatchers (sim jobs; 0 otherwise).
     pub dispatcher_high_water: usize,
@@ -505,8 +503,8 @@ impl ExperimentSpec {
                     load_balance_jain: r.load_balance_jain,
                     flow_control_deferrals: r.flow_control_deferrals,
                     sim_events: r.events_processed,
-                    queue_overflow_pushes: r.queue_overflow_pushes,
-                    queue_overflow_migrations: r.queue_overflow_migrations,
+                    queue_overflow_pushes: 0,
+                    queue_overflow_migrations: 0,
                     dispatcher_high_water: r.dispatcher_high_water,
                     preemptions: r.preemptions,
                     trace_dropped: 0,

@@ -66,8 +66,8 @@ fn fig2_matrices_reproduce_their_pinned_digests_on_any_thread_count() {
 
 /// `digest_reports` of the hardware-path sim matrices at reduced request
 /// counts and the catalogue seed: the partitioned and static policies
-/// (`fig7a|b|c`), the Masstree scans that schedule past the ladder
-/// horizon into its overflow heap (`fig7b`), outstanding-request depth,
+/// (`fig7a|b|c`), the Masstree scans whose 60–120 µs completions queue
+/// behind sub-µs ones in one calendar (`fig7b`), outstanding-request depth,
 /// the 16- and 64-core dispatcher, and preemption's same-instant
 /// requeue pushes (`ablation_preemption`). Recorded on the commit before
 /// `ServerSim` took send-slot releases and arrivals out of the general
@@ -112,6 +112,51 @@ fn sim_matrices_reproduce_their_pinned_digests_on_any_thread_count() {
     }
 }
 
+/// The sealed series-store digest (`telemetry::digest_series`, what
+/// `harness run --matrix <name> --timeseries <path>
+/// --series-window-us 1` prints and seals) at 6 000 requests per job
+/// and the catalogue seed. The windows see every completion's instant
+/// and the occupancy between events, so these pin event timing, not
+/// only the aggregate report. Recorded on the commit before `ServerSim`
+/// left the general event queue.
+const SERIES_DIGESTS: [(&str, &str); 2] = [
+    ("fig8", "ff134ec877b55e82"),
+    ("sens_slots", "b0d8c3e063850a1f"),
+];
+
+#[test]
+fn sim_series_stores_reproduce_their_pinned_digests() {
+    for (name, pinned) in SERIES_DIGESTS {
+        let matrix = sim_matrix(name, 6_000);
+        let (_, _, observed) =
+            harness::run_matrix_observed(&matrix, harness::default_threads(), 0, 1_000_000);
+        let digest = telemetry::digest_series(&observed.series).hex();
+        assert_eq!(digest, pinned, "{name}");
+    }
+}
+
+/// `SweepTiming::total_events` at 8 000 requests per job and the
+/// catalogue seed: the simulator's own work count. No report or digest
+/// includes it, so only this pin holds a change of event structure —
+/// an event added, dropped, or merged — to account for itself.
+/// Recorded on the commit before `ServerSim` left the general event
+/// queue.
+const SIM_EVENT_COUNTS: [(&str, u64); 4] = [
+    ("fig8", 5_025_661),
+    ("fig7b", 1_664_000),
+    ("ablation_preemption", 539_855),
+    ("sens_slots", 308_626),
+];
+
+#[test]
+fn sim_matrices_fire_their_pinned_event_counts() {
+    for (name, pinned) in SIM_EVENT_COUNTS {
+        let matrix = sim_matrix(name, 8_000);
+        let (_, timing) = harness::run_matrix(&matrix, harness::default_threads());
+        assert_eq!(timing.total_events(), pinned, "{name}");
+    }
+}
+
 fn bench_store(scenario: &str) -> (String, TrajectoryStore) {
     let path = format!("{}/../../BENCH/{scenario}.json", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -125,7 +170,8 @@ fn resimulating_the_stored_fig8_entry_reproduces_its_digest() {
     // test`: the stored entry was recorded by a scalar-sampling binary
     // that predates blocked variate generation, so reproducing its
     // digest is the system-level check that the blocked sampler, the
-    // ladder queue and every later refactor changed no measured bit.
+    // ladder queue, the event calendars and every later refactor changed
+    // no measured bit.
     let (_, store) = bench_store("fig8");
     let baseline = store.latest().expect("BENCH/fig8.json has entries");
     let params = harness::params_for_entry(baseline);

@@ -678,24 +678,36 @@ mod tests {
             let payload = read_frame(&mut client).unwrap().expect("response");
             Response::decode(&payload).unwrap();
         }
-        // Let at least one window seal, then fetch everything.
-        std::thread::sleep(Duration::from_millis(120));
-        write_frame(&mut client, &encode_metrics_request(0)).unwrap();
-        let payload = read_frame(&mut client).unwrap().expect("metrics frame");
-        let reply = MetricsReply::decode(&payload).unwrap();
+        let mut query = |since: u64| {
+            write_frame(&mut client, &encode_metrics_request(since)).unwrap();
+            let payload = read_frame(&mut client).unwrap().expect("metrics frame");
+            MetricsReply::decode(&payload).unwrap()
+        };
+        let counted = |reply: &MetricsReply| {
+            let arrivals: u64 = reply.windows.iter().map(|w| w.arrivals).sum();
+            let completions: u64 = reply.windows.iter().map(|w| w.completions).sum();
+            (arrivals, completions)
+        };
+        // Fetch everything until every request sits in a sealed window:
+        // the window open at a query seals on the sampler's schedule,
+        // not the test's.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let reply = loop {
+            let reply = query(0);
+            if counted(&reply) == (4, 4) || std::time::Instant::now() > deadline {
+                break reply;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
         assert_eq!(reply.interval_ps, 40_000_000_000, "40 ms in ps");
         assert_eq!(reply.workers, 4);
-        assert!(!reply.windows.is_empty(), "a window sealed while waiting");
-        let arrivals: u64 = reply.windows.iter().map(|w| w.arrivals).sum();
-        let completions: u64 = reply.windows.iter().map(|w| w.completions).sum();
-        assert_eq!(arrivals, 4, "every request landed in a sealed window");
-        assert_eq!(completions, 4);
+        assert_eq!(counted(&reply), (4, 4), "every request in a sealed window");
         assert!(reply.windows.iter().any(|w| w.samples > 0));
-        // Delta encoding: re-query from the watermark → nothing new.
-        write_frame(&mut client, &encode_metrics_request(reply.next_index)).unwrap();
-        let payload = read_frame(&mut client).unwrap().expect("metrics frame");
-        let delta = MetricsReply::decode(&payload).unwrap();
-        assert!(delta.windows.is_empty(), "client is caught up");
+        // Delta encoding: a query from the watermark re-sends no window
+        // below it. Windows sealed since are new, and empty.
+        let delta = query(reply.next_index);
+        assert!(delta.windows.iter().all(|w| w.index >= reply.next_index));
+        assert_eq!(counted(&delta), (0, 0), "nothing new arrived");
         // The exposition renders the same state.
         let text = server.prometheus_text();
         assert!(text.contains("valetd_requests_total 4"), "{text}");

@@ -392,20 +392,19 @@ impl Merge {
 mod tests {
     use super::*;
     use dist::SyntheticKind;
-    use simkit::Engine;
+    use simkit::EventQueue;
 
-    /// The oracle: the `simkit::Engine`-driven loop that was
-    /// [`QueueingModel::run`] until PR 16, statistics tail included — two
-    /// general event-queue push+pops and two scalar draws per request,
-    /// one sorted in-service deque per queue, one `Summary::record` per
-    /// completion. Shares nothing with [`Merge`]. Returns the
-    /// `RunResult`'s `Debug` text (shortest round-trip floats: equal
-    /// text, equal bits) and two counts of how often the tie rule
-    /// decided: pops that shared their tick with the pop before them
-    /// while being of the other kind, and, of those, completions popped
-    /// after an arrival of their own tick (scheduled later than it: the
-    /// order only `seq` knows). An event is `None` for an arrival,
-    /// `Some(queue)` for a completion.
+    /// The oracle: a loop on the general `simkit::EventQueue`,
+    /// statistics tail included — two event-queue push+pops and two
+    /// scalar draws per request, one sorted in-service deque per queue,
+    /// one `Summary::record` per completion. Shares nothing with
+    /// [`Merge`]. Returns the `RunResult`'s `Debug` text (shortest
+    /// round-trip floats: equal text, equal bits) and two counts of how
+    /// often the tie rule decided: pops that shared their tick with the
+    /// pop before them while being of the other kind, and, of those,
+    /// completions popped after an arrival of their own tick (scheduled
+    /// later than it: the order only `seq` knows). An event is `None`
+    /// for an arrival, `Some(queue)` for a completion.
     fn engine_run(model: &QueueingModel, params: &RunParams) -> (String, u64, u64) {
         fn exp_gap(rng: &mut impl Rng, mean_ns: f64) -> SimDuration {
             let u: f64 = rng.gen();
@@ -425,7 +424,8 @@ mod tests {
         let mut service_rng = stream_rng(params.seed, 2);
         let horizon =
             SimDuration::from_ns_f64(mean_service_ns * 8.0).max(SimDuration::from_ps(512));
-        let mut engine: Engine<Option<usize>> = Engine::with_horizon(horizon);
+        let mut events: EventQueue<Option<usize>> = EventQueue::with_horizon(horizon);
+        let mut fired = 0;
         let mut waiting: Vec<VecDeque<(SimTime, SimDuration)>> = vec![VecDeque::new(); queues];
         let mut busy = vec![0; queues];
         let mut in_service: Vec<InService> = vec![VecDeque::new(); queues];
@@ -436,9 +436,10 @@ mod tests {
         let (mut window_start, mut window_end) = (SimTime::ZERO, SimTime::ZERO);
         let (mut same_tick, mut arrival_first) = (0, 0);
         let (mut last, mut last_arrival) = (None, None);
-        engine.schedule_in(exp_gap(&mut arrival_rng, mean_gap_ns), None);
-        while let Some(scheduled) = engine.pop() {
-            let now = engine.now();
+        events.push(SimTime::ZERO + exp_gap(&mut arrival_rng, mean_gap_ns), None);
+        while let Some(scheduled) = events.pop() {
+            let now = scheduled.time;
+            fired += 1;
             let is_arrival = scheduled.event.is_none();
             same_tick += (last == Some((now, !is_arrival))) as u64;
             last = Some((now, is_arrival));
@@ -450,13 +451,13 @@ mod tests {
                     if busy[queue] < servers_per_queue {
                         busy[queue] += 1;
                         insert_by_end(&mut in_service[queue], (now + svc, now, 0.0));
-                        engine.schedule_at(now + svc, Some(queue));
+                        events.push(now + svc, Some(queue));
                     } else {
                         waiting[queue].push_back((now, svc));
                     }
                     if arrivals_left > 0 {
                         arrivals_left -= 1;
-                        engine.schedule_in(exp_gap(&mut arrival_rng, mean_gap_ns), None);
+                        events.push(now + exp_gap(&mut arrival_rng, mean_gap_ns), None);
                     }
                 }
                 Some(queue) => {
@@ -476,7 +477,7 @@ mod tests {
                     if let Some((arr, svc)) = waiting[queue].pop_front() {
                         let waited = now.duration_since(arr).as_ns_f64();
                         insert_by_end(&mut in_service[queue], (now + svc, arr, waited));
-                        engine.schedule_at(now + svc, Some(queue));
+                        events.push(now + svc, Some(queue));
                     } else {
                         busy[queue] -= 1;
                     }
@@ -503,7 +504,7 @@ mod tests {
                 0.0
             },
             measured,
-            events: engine.events_processed(),
+            events: fired,
         };
         (format!("{result:?}"), same_tick, arrival_first)
     }

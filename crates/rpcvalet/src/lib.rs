@@ -54,6 +54,7 @@
 // needs no unsafe code, and the compiler now keeps it that way.
 #![forbid(unsafe_code)]
 
+mod calendars;
 pub mod domain;
 pub mod dispatch;
 pub mod mcs;
@@ -69,5 +70,5 @@ pub use mcs::McsParams;
 pub use trace::TraceLog;
 pub use system::{
     PreemptionParams, RequestSchedule, RunResult, ServerSim, SystemConfig, SystemConfigBuilder,
-    LADDER_HORIZON, PREFETCH_BLOCK,
+    PREFETCH_BLOCK,
 };

@@ -10,29 +10,14 @@
 //! * a two-level ladder/calendar queue ([`EventQueue::with_horizon`]) —
 //!   near-future events bucketed into reusable rings, far-future events
 //!   in an overflow heap, `O(1)` amortized per operation and
-//!   allocation-free in steady state (see [`crate::wheel`]); the one
-//!   queue the simulators run on;
+//!   allocation-free in steady state (see [`crate::wheel`]); the
+//!   benchmark times it as its probe of a general event queue;
 //! * a binary heap ([`EventQueue::new`]) — the reference implementation,
 //!   `O(log n)` per operation, kept as the oracle the ladder is tested
 //!   against.
 //!
 //! The pop order of both backends is **bit-identical**: the smallest
 //! `(time, seq)` pair always pops first.
-//!
-//! **Taken numbers.** A model that keeps some of its events outside the
-//! queue — a pending arrival it merges with the queue head, a counter
-//! update it applies only when someone reads the counter — can still
-//! order them exactly against the queued ones. [`EventQueue::reserve_seq`]
-//! takes the `seq` a push at that moment would have used (and pushes
-//! nothing); [`EventQueue::push_reserved`] pushes under a number taken
-//! earlier; [`EventQueue::pop_before`] pops the head only if its
-//! `(time, seq)` is below a given key. An event held outside under its
-//! taken number, and fired when `pop_before` at its key pops nothing,
-//! therefore fires exactly where the queue would have popped it, and an
-//! event pushed later under its taken number orders exactly as if it had
-//! been pushed then: every other push still draws the next number, so no
-//! key in the run moves. [`EventQueue::pop`] *is* `pop_before(SimTime::MAX,
-//! u64::MAX)` — no taken number reaches `u64::MAX`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -78,7 +63,7 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Backend telemetry counters, exported into the harness timing sidecar.
+/// Backend telemetry counters.
 ///
 /// Only the ladder backend produces non-zero values: `overflow_pushes`
 /// counts events that missed the rolling near window and landed in the
@@ -149,26 +134,8 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire at `time`.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.reserve_seq();
-        self.push_reserved(time, seq, event);
-    }
-
-    /// Takes the sequence number a push right now would use, without
-    /// pushing anything: the tie-break key of an event the caller holds
-    /// outside the queue (see the module docs).
-    #[inline]
-    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        seq
-    }
-
-    /// Schedules `event` at `time` under `seq`, a number taken earlier
-    /// with [`EventQueue::reserve_seq`] and not pushed since: it pops in
-    /// the place a push at the moment the number was taken would have.
-    #[inline]
-    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
-        debug_assert!(seq < self.seq, "sequence number {seq} was never taken");
         let entry = Entry { time, seq, event };
         match &mut self.backend {
             Backend::Heap(heap) => heap.push(entry),
@@ -179,27 +146,9 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` if empty.
     #[inline]
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.pop_before(SimTime::MAX, u64::MAX)
-    }
-
-    /// Removes and returns the earliest event if its `(time, seq)` is
-    /// below the key `(time, seq)`; otherwise (or if empty) returns
-    /// `None` and leaves the queue as it was, so the caller can fire the
-    /// event it holds under that key.
-    ///
-    /// Always inlined: a simulator loop that merges held events reaches
-    /// this body from two sites (`pop_before` and `pop`), and the
-    /// compiler's own choice — one out-of-line copy returning its
-    /// `Option` through memory — cost `sim_fig8` a fifth of its
-    /// throughput.
-    #[inline(always)]
-    pub fn pop_before(&mut self, time: SimTime, seq: u64) -> Option<Scheduled<E>> {
         let entry = match &mut self.backend {
-            Backend::Heap(heap) => match heap.peek() {
-                Some(head) if (head.time, head.seq) < (time, seq) => heap.pop(),
-                _ => None,
-            },
-            Backend::Ladder(ladder) => ladder.pop_before(time, seq),
+            Backend::Heap(heap) => heap.pop(),
+            Backend::Ladder(ladder) => ladder.pop(),
         };
         entry.map(|e| Scheduled {
             time: e.time,
@@ -314,62 +263,6 @@ mod tests {
             assert_eq!(q.len(), 2);
             q.clear();
             assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn pop_is_pop_before_the_greatest_key() {
-        // A 4 ns horizon sends the two far pushes to the ladder's
-        // overflow heap, so once the near events drain, both drains go
-        // through the overflow-only re-anchor.
-        for (mut a, mut b) in both_backends().into_iter().zip(both_backends()) {
-            for q in [&mut a, &mut b] {
-                q.push(SimTime::from_ns(3), 0u32);
-                q.push(SimTime::from_ns(3), 1);
-                q.push(SimTime::from_ns(1_000), 2);
-                q.push(SimTime::from_ns(500), 3);
-                q.push(SimTime::from_ns(4), 4);
-            }
-            loop {
-                let popped = a.pop();
-                assert_eq!(popped, b.pop_before(SimTime::MAX, u64::MAX));
-                if popped.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(a.stats(), b.stats());
-        }
-        let mut ladder = EventQueue::with_horizon(SimDuration::from_ns(4));
-        ladder.push(SimTime::from_ns(3), ());
-        ladder.push(SimTime::from_ns(1_000), ());
-        assert_eq!(ladder.stats().overflow_pushes, 1, "the far push overflows");
-    }
-
-    #[test]
-    fn pop_before_pops_only_keys_strictly_below() {
-        for mut q in both_backends() {
-            let held = q.reserve_seq();
-            q.push(SimTime::from_ns(5), "queued");
-            // The held key (5 ns, older number) precedes the queued one.
-            assert_eq!(q.pop_before(SimTime::from_ns(5), held), None);
-            assert_eq!(q.pop_before(SimTime::from_ns(4), u64::MAX), None);
-            assert_eq!(q.len(), 1);
-            let popped = q.pop_before(SimTime::from_ns(5), held + 2);
-            assert_eq!(popped.map(|s| s.event), Some("queued"));
-            assert_eq!(q.pop_before(SimTime::MAX, u64::MAX), None);
-        }
-    }
-
-    #[test]
-    fn push_reserved_pops_where_the_number_was_taken() {
-        for mut q in both_backends() {
-            q.push(SimTime::from_ns(7), "first");
-            let taken = q.reserve_seq();
-            q.push(SimTime::from_ns(7), "third");
-            q.push(SimTime::from_ns(2), "earliest");
-            q.push_reserved(SimTime::from_ns(7), taken, "second");
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, ["earliest", "first", "second", "third"]);
         }
     }
 

@@ -7,11 +7,10 @@
 //!   event ordering is exact and reproducible (no floating-point drift).
 //! * [`EventQueue`] — a priority queue of timestamped events with a
 //!   deterministic FIFO tie-break for simultaneous events: the
-//!   allocation-free [`wheel`] ladder/calendar queue the simulators run
-//!   on, and the reference binary heap it pops in bit-identical order
-//!   with. Taken sequence numbers let a model hold events outside the
-//!   queue and still fire them in that exact order.
-//! * [`Engine`] — a thin driver that owns the clock and the event queue.
+//!   allocation-free [`wheel`] ladder/calendar queue, and the reference
+//!   binary heap it pops in bit-identical order with. The simulators
+//!   keep their own event calendars; the benchmark times this queue as
+//!   its probe of a general one.
 //! * [`rng`] — seed-splitting utilities so that every simulated component
 //!   gets an independent, reproducible random stream.
 //! * [`pool`] — a pull-based worker pool for fanning independent,
@@ -25,31 +24,29 @@
 //! ## Example
 //!
 //! ```
-//! use simkit::{Engine, SimDuration};
+//! use simkit::{EventQueue, SimTime};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Ping, Pong }
 //!
-//! let mut engine = Engine::new();
-//! engine.schedule_in(SimDuration::from_ns(5), Ev::Pong);
-//! engine.schedule_in(SimDuration::from_ns(1), Ev::Ping);
+//! let mut queue = EventQueue::new();
+//! queue.push(SimTime::from_ns(5), Ev::Pong);
+//! queue.push(SimTime::from_ns(1), Ev::Ping);
 //!
-//! let first = engine.pop().unwrap();
+//! let first = queue.pop().unwrap();
 //! assert_eq!(first.event, Ev::Ping);
-//! assert_eq!(engine.now().as_ns(), 1);
+//! assert_eq!(first.time.as_ns(), 1);
 //! ```
 
 // Structural pin for detlint's unsafe-hygiene sweep: this crate
 // needs no unsafe code, and the compiler now keeps it that way.
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod event;
 pub mod pool;
 pub mod rng;
 pub mod time;
 pub mod wheel;
 
-pub use engine::Engine;
 pub use event::{EventQueue, QueueStats, Scheduled};
 pub use time::{SimDuration, SimTime, DEFAULT_CLOCK_GHZ};

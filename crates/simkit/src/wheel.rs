@@ -1,8 +1,8 @@
 //! A deterministic two-level ladder/calendar event queue with a
 //! *rolling* near-future window.
 //!
-//! The hot path of every simulation in this workspace is `EventQueue`
-//! push/pop churn. A binary heap costs `O(log n)` comparisons and entry
+//! A general event queue holds every pending event of a simulation in
+//! one structure. A binary heap costs `O(log n)` comparisons and entry
 //! moves per operation; this ladder exploits the structure of
 //! discrete-event workloads — events are almost always scheduled a short,
 //! bounded lookahead past the current clock — to make both operations
@@ -28,7 +28,7 @@
 //! The [`stats`](crate::EventQueue::stats) counters record how many entries
 //! took the overflow path and how many were migrated back; on a
 //! steady-state workload whose scheduling lookahead fits the horizon both
-//! stay zero, which the timing sidecar surfaces as proof.
+//! stay zero.
 //!
 //! **Exact determinism.** Pop returns the minimum `(time, seq)` entry,
 //! bit-identical to the heap backend, under *any* interleaving of pushes
@@ -51,23 +51,6 @@
 //! 4. After migration, every overflow entry lies at least one full window
 //!    past the cursor slot, strictly after every near entry, so the two
 //!    levels never race.
-//!
-//! **Popping before a key.** There is one pop body, `pop_before(time,
-//! seq)`: it pops the minimum only if its `(time, seq)` is below the key,
-//! and `EventQueue::pop` is `pop_before(SimTime::MAX, u64::MAX)`. A miss
-//! must leave the queue as it was *and* never move the cursor past the
-//! key's slot: the caller fires its own event at the key next, and that
-//! event's pushes (at or after the key's instant) must land in their own
-//! rings rather than be clamped into the cursor ring as late pushes. So
-//! the overflow-only re-anchor happens only when the overflow head
-//! precedes the key, and the cursor advances to the first occupied ring
-//! only when that ring's slot is not past the key's slot — a later slot
-//! means the minimum follows the key, since every overflow entry lies
-//! later still (invariant 4). Otherwise the ring is sorted as in any pop
-//! and its back entry compared with the key exactly. Taken sequence
-//! numbers need nothing here: a ring is sorted by `(time, seq)` on first
-//! touch and binary-inserted while live, so an entry pushed under an
-//! older number lands in place.
 //!
 //! Property tests in `tests/ladder_properties.rs` check pop-order
 //! equivalence against the heap backend over arbitrary interleavings,
@@ -96,7 +79,7 @@ pub(crate) struct LadderQueue<E> {
     /// Ring-occupancy bitmap (bit `i` ⇔ ring `i` non-empty). The cursor
     /// advance is a masked `trailing_zeros` over these dense words
     /// instead of a pointer-chasing walk over 512 scattered ring
-    /// headers — the single hottest load in the whole simulator.
+    /// headers — the ladder's hottest load.
     occupied: [u64; WORDS],
     /// Ring width as a power-of-two shift (width = `1 << width_shift`
     /// ps), so the per-push slot is a shift, not a divide. The requested
@@ -216,22 +199,19 @@ impl<E> LadderQueue<E> {
         (w << 6) + word.trailing_zeros() as usize
     }
 
-    /// Pops the minimum entry if its `(time, seq)` is below the key
-    /// `(time, seq)`; `pop` is this with the greatest key. A miss never
-    /// moves the cursor past the key's slot (see the module docs). Always
-    /// inlined, like `EventQueue::pop_before`.
-    #[inline(always)]
-    pub(crate) fn pop_before(&mut self, time: SimTime, seq: u64) -> Option<Entry<E>> {
-        let key = (time, seq);
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<Entry<E>> {
         if !self.overflow.is_empty() {
             if self.near_len == 0 {
-                let head = self.overflow.peek().expect("overflow checked non-empty");
-                if (head.time, head.seq) >= key {
-                    return None;
-                }
                 // O(1) re-anchor at the earliest far event; migration
                 // below pulls the window's worth in.
-                let slot = head.time.as_ps() >> self.width_shift;
+                let slot = self
+                    .overflow
+                    .peek()
+                    .expect("overflow checked non-empty")
+                    .time
+                    .as_ps()
+                    >> self.width_shift;
                 self.re_anchor(slot);
             }
             // Invariant 3: any far event the rolled window caught up with
@@ -246,13 +226,7 @@ impl<E> LadderQueue<E> {
         let next = self.first_occupied(cursor_idx);
         if next != cursor_idx {
             let advance = next.wrapping_sub(cursor_idx) & (NUM_BUCKETS - 1);
-            let slot = self.cursor_slot + advance as u64;
-            if slot > time.as_ps() >> self.width_shift {
-                // The near minimum lies in a later slot than the key, and
-                // overflow lies later still (invariant 4).
-                return None;
-            }
-            self.cursor_slot = slot;
+            self.cursor_slot += advance as u64;
             self.cursor_sorted = false;
         }
         let ring = &mut self.buckets[next];
@@ -262,10 +236,6 @@ impl<E> LadderQueue<E> {
             // back and each pop is O(1)).
             ring.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
             self.cursor_sorted = true;
-        }
-        let head = ring.last().expect("occupied ring");
-        if (head.time, head.seq) >= key {
-            return None;
         }
         self.near_len -= 1;
         let entry = ring.pop();
@@ -344,48 +314,6 @@ mod tests {
         }
     }
 
-    fn pop(q: &mut LadderQueue<u64>) -> Option<Entry<u64>> {
-        q.pop_before(SimTime::MAX, u64::MAX)
-    }
-
-    #[test]
-    fn pop_before_a_miss_leaves_the_cursor_at_or_before_the_key() {
-        // width = 1 ps, so slots are picoseconds.
-        let mut q: LadderQueue<u64> = LadderQueue::new(SimDuration::from_ps(NUM_BUCKETS as u64));
-        q.push(entry(100, 0));
-        q.push(entry(300, 1));
-        assert_eq!(pop(&mut q).unwrap().seq, 0); // cursor at slot 100
-        // The head lies in a later slot than the key: nothing moves.
-        assert!(q.pop_before(SimTime::from_ps(200), 2).is_none());
-        assert_eq!(q.cursor_slot, 100);
-        // A push at the key's instant lands in its own ring, not the
-        // cursor's, and pops before the older far entry.
-        q.push(entry(200, 3));
-        assert_eq!(q.buckets[200].len(), 1);
-        assert_eq!(pop(&mut q).unwrap().seq, 3);
-        // Same slot as the head, smaller seq: the cursor may reach the
-        // key's slot but the head stays.
-        assert!(q.pop_before(SimTime::from_ps(300), 0).is_none());
-        assert_eq!(q.cursor_slot, 300);
-        assert_eq!(q.pop_before(SimTime::from_ps(300), 2).unwrap().seq, 1);
-    }
-
-    #[test]
-    fn pop_before_a_miss_on_overflow_alone_does_not_re_anchor() {
-        let mut q: LadderQueue<u64> = LadderQueue::new(SimDuration::from_ps(NUM_BUCKETS as u64));
-        q.push(entry(5, 0));
-        q.push(entry(10_000, 1)); // beyond the window: overflow
-        assert_eq!(pop(&mut q).unwrap().seq, 0); // rings now empty
-        assert!(q.pop_before(SimTime::from_ps(400), 2).is_none());
-        assert_eq!(q.cursor_slot, 5);
-        // A push at the key lands in a ring of the unmoved window.
-        q.push(entry(400, 3));
-        assert_eq!(q.buckets[400].len(), 1);
-        assert_eq!(pop(&mut q).unwrap().seq, 3);
-        assert_eq!(pop(&mut q).unwrap().seq, 1);
-        assert_eq!(q.stats(), (1, 1));
-    }
-
     #[test]
     fn far_events_overflow_and_migrate() {
         let mut q: LadderQueue<u64> = LadderQueue::new(SimDuration::from_ps(NUM_BUCKETS as u64));
@@ -398,9 +326,9 @@ mod tests {
         assert_eq!(q.overflow.len(), 3);
         // Draining the window re-anchors at 10_000 and migrates the two
         // now-covered events, preserving the same-instant FIFO order.
-        let order: Vec<u64> = std::iter::from_fn(|| pop(&mut q).map(|e| e.seq)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
         assert_eq!(order, vec![0, 1, 3, 2]);
-        assert!(pop(&mut q).is_none());
+        assert!(q.pop().is_none());
         assert_eq!(q.stats(), (3, 3));
     }
 
@@ -409,10 +337,10 @@ mod tests {
         let mut q: LadderQueue<u64> = LadderQueue::new(SimDuration::from_ps(NUM_BUCKETS as u64));
         q.push(entry(100, 0));
         q.push(entry(300, 1));
-        assert_eq!(pop(&mut q).unwrap().seq, 0); // cursor at slot 100
+        assert_eq!(q.pop().unwrap().seq, 0); // cursor at slot 100
         q.push(entry(50, 2)); // before the cursor slot: clamped, still next
-        assert_eq!(pop(&mut q).unwrap().seq, 2);
-        assert_eq!(pop(&mut q).unwrap().seq, 1);
+        assert_eq!(q.pop().unwrap().seq, 2);
+        assert_eq!(q.pop().unwrap().seq, 1);
     }
 
     #[test]
@@ -420,10 +348,10 @@ mod tests {
         let mut q: LadderQueue<u64> = LadderQueue::new(SimDuration::from_ps(NUM_BUCKETS as u64));
         q.push(entry(200, 0));
         q.push(entry(64, 1));
-        assert_eq!(pop(&mut q).unwrap().seq, 1); // cursor at slot 64
+        assert_eq!(q.pop().unwrap().seq, 1); // cursor at slot 64
         q.push(entry(200, 2)); // same instant as seq 0, later push
         q.push(entry(200, 3));
-        let order: Vec<u64> = std::iter::from_fn(|| pop(&mut q).map(|e| e.seq)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
         assert_eq!(order, vec![0, 2, 3]);
     }
 
@@ -431,12 +359,12 @@ mod tests {
     fn idle_requeue_re_anchors_without_overflow() {
         let mut q: LadderQueue<u64> = LadderQueue::new(SimDuration::from_us(1));
         q.push(entry(1_000, 0));
-        assert_eq!(pop(&mut q).unwrap().seq, 0);
+        assert_eq!(q.pop().unwrap().seq, 0);
         // Queue idle; a push far past the original window must re-anchor
         // instead of spilling to overflow.
         q.push(entry(50_000_000, 1));
         assert_eq!(q.overflow.len(), 0);
-        assert_eq!(pop(&mut q).unwrap().seq, 1);
+        assert_eq!(q.pop().unwrap().seq, 1);
         assert_eq!(q.stats(), (0, 0));
     }
 
@@ -451,7 +379,7 @@ mod tests {
         q.push(entry(0, 0));
         let mut last = 0u64;
         for i in 1..20_000u64 {
-            let e = pop(&mut q).expect("chain is never empty");
+            let e = q.pop().expect("chain is never empty");
             assert!(e.time.as_ps() >= last, "pop went backwards");
             last = e.time.as_ps();
             // Lookahead sweeps the whole window width, boundary included.
@@ -468,7 +396,7 @@ mod tests {
         q.push(entry(500, 0)); // anchors at slot 500, ring 500
         q.push(entry(700, 1)); // ring (700 & 511) = 188: wrapped
         q.push(entry(510, 2)); // ring 510: before the wrap
-        let order: Vec<u64> = std::iter::from_fn(|| pop(&mut q).map(|e| e.seq)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
         assert_eq!(order, vec![0, 2, 1]);
         assert_eq!(q.stats(), (0, 0));
     }
@@ -481,13 +409,13 @@ mod tests {
         q.push(entry(0, 0)); // anchors at slot 0
         q.push(entry(900, 1)); // a full window ahead: overflow
         q.push(entry(400, 2)); // ring 400
-        assert_eq!(pop(&mut q).unwrap().seq, 0);
-        assert_eq!(pop(&mut q).unwrap().seq, 2); // cursor rolls to slot 400
+        assert_eq!(q.pop().unwrap().seq, 0);
+        assert_eq!(q.pop().unwrap().seq, 2); // cursor rolls to slot 400
         // The window now covers 900; a direct push of a younger time must
         // not pop before the pending overflow entry.
         q.push(entry(910, 3));
-        assert_eq!(pop(&mut q).unwrap().seq, 1);
-        assert_eq!(pop(&mut q).unwrap().seq, 3);
+        assert_eq!(q.pop().unwrap().seq, 1);
+        assert_eq!(q.pop().unwrap().seq, 3);
         assert_eq!(q.stats(), (1, 1));
     }
 

@@ -83,158 +83,7 @@ fn check_equivalence(ops: &[Op], horizon_ps: u64, monotone: bool) -> Result<(), 
     Ok(())
 }
 
-/// One step of a workload that also holds events outside the queue under
-/// taken sequence numbers and pops before keys.
-#[derive(Debug, Clone, Copy)]
-enum KeyedOp {
-    /// Push at this offset from the clock.
-    Push(u64),
-    /// Take a sequence number and hold it.
-    Take,
-    /// Push under the oldest held number (if any), at this offset from
-    /// the clock.
-    PushTaken(u64),
-    /// Pop before the greatest key: a plain pop.
-    Pop,
-    /// Pop before a key near a pending `(time, seq)` pair — pair
-    /// `pick` (modulo the pending count; the clock and the next number
-    /// when nothing is pending), shifted by `dt` ps plus `wrap` horizons
-    /// and by `dseq` numbers, saturating at zero.
-    PopBefore {
-        pick: usize,
-        dt: i64,
-        wrap: i64,
-        dseq: i64,
-    },
-}
-
-fn keyed_op_strategy(max_offset_ps: u64) -> impl Strategy<Value = KeyedOp> {
-    let pop_before = || {
-        (0..1_000usize, -2..3i64, -1..2i64, -1..2i64).prop_map(|(pick, dt, wrap, dseq)| {
-            KeyedOp::PopBefore {
-                pick,
-                dt,
-                wrap,
-                dseq,
-            }
-        })
-    };
-    prop_oneof![
-        (0..max_offset_ps).prop_map(KeyedOp::Push),
-        (0..max_offset_ps).prop_map(KeyedOp::Push),
-        Just(KeyedOp::Take),
-        (0..max_offset_ps).prop_map(KeyedOp::PushTaken),
-        Just(KeyedOp::Pop),
-        pop_before(),
-        pop_before(),
-    ]
-}
-
-/// Runs `ops` against both backends in lockstep and against a sorted
-/// mirror of the pending `(time, seq)` pairs: every pop and every `None`
-/// decision must match. Payloads are the entries' sequence numbers. The
-/// clock follows the simulator's use: a pop moves it to the popped time,
-/// a miss before a later key moves it to the key's time, and pushes land
-/// at or after it.
-fn check_keyed_equivalence(ops: &[KeyedOp], horizon_ps: u64) -> Result<(), TestCaseError> {
-    let mut heap = EventQueue::new();
-    let mut ladder = EventQueue::with_horizon(SimDuration::from_ps(horizon_ps));
-    let mut pending = std::collections::BTreeSet::new();
-    let mut held = std::collections::VecDeque::new();
-    let mut next_seq = 0u64;
-    let mut now_ps = 0u64;
-    for (i, &op) in ops.iter().enumerate() {
-        let key = match op {
-            KeyedOp::Push(dt) => {
-                let at = now_ps + dt;
-                heap.push(SimTime::from_ps(at), next_seq);
-                ladder.push(SimTime::from_ps(at), next_seq);
-                pending.insert((at, next_seq));
-                next_seq += 1;
-                None
-            }
-            KeyedOp::Take => {
-                prop_assert_eq!(heap.reserve_seq(), next_seq);
-                prop_assert_eq!(ladder.reserve_seq(), next_seq);
-                held.push_back(next_seq);
-                next_seq += 1;
-                None
-            }
-            KeyedOp::PushTaken(dt) => {
-                if let Some(seq) = held.pop_front() {
-                    let at = now_ps + dt;
-                    heap.push_reserved(SimTime::from_ps(at), seq, seq);
-                    ladder.push_reserved(SimTime::from_ps(at), seq, seq);
-                    pending.insert((at, seq));
-                }
-                None
-            }
-            KeyedOp::Pop => Some((u64::MAX, u64::MAX)),
-            KeyedOp::PopBefore {
-                pick,
-                dt,
-                wrap,
-                dseq,
-            } => {
-                let (t, s) = match pending.len() {
-                    0 => (now_ps, next_seq),
-                    n => *pending.iter().nth(pick % n).expect("index below len"),
-                };
-                let t = (t as i64 + dt + wrap * horizon_ps as i64).max(0) as u64;
-                Some((t, (s as i64 + dseq).max(0) as u64))
-            }
-        };
-        if let Some((t, s)) = key {
-            let (a, b) = (
-                heap.pop_before(SimTime::from_ps(t), s),
-                ladder.pop_before(SimTime::from_ps(t), s),
-            );
-            prop_assert_eq!(&a, &b, "pop before ({}, {}) diverged at step {}", t, s, i);
-            let expected = pending.first().copied().filter(|&head| head < (t, s));
-            prop_assert_eq!(
-                a.as_ref().map(|x| (x.time.as_ps(), x.event)),
-                expected,
-                "step {}",
-                i
-            );
-            match expected {
-                Some(head) => {
-                    pending.remove(&head);
-                    now_ps = head.0;
-                }
-                None if t != u64::MAX => now_ps = now_ps.max(t),
-                None => {}
-            }
-        }
-        prop_assert_eq!(heap.len(), ladder.len());
-    }
-    while let Some(x) = heap.pop() {
-        prop_assert_eq!(Some(x), ladder.pop());
-    }
-    prop_assert!(ladder.pop().is_none());
-    Ok(())
-}
-
 proptest! {
-    #[test]
-    fn taken_numbers_and_keyed_pops_match_heap(
-        ops in prop::collection::vec(keyed_op_strategy(5_000), 1..400),
-        horizon_ps in 1u64..100_000,
-    ) {
-        check_keyed_equivalence(&ops, horizon_ps)?;
-    }
-
-    #[test]
-    fn keyed_pops_across_window_wraps_match_heap(
-        ops in prop::collection::vec(keyed_op_strategy(4_000), 1..400),
-        horizon_ps in 512u64..2_048,
-    ) {
-        // Offsets up to several windows, keys shifted by whole windows:
-        // misses land on both sides of the rolling window's wrap and
-        // the overflow heap stays busy.
-        check_keyed_equivalence(&ops, horizon_ps)?;
-    }
-
     #[test]
     fn arbitrary_interleavings_match_heap(
         ops in prop::collection::vec(op_strategy(2_000), 1..400),
@@ -287,10 +136,10 @@ proptest! {
     fn bounded_lookahead_never_overflows(
         ops in prop::collection::vec(op_strategy(500), 1..400),
     ) {
-        // The rolling-window guarantee behind the sidecar's zero-overflow
-        // criterion: any monotone schedule whose lookahead stays below
-        // the horizon keeps the overflow counters at exactly zero, no
-        // matter how many window widths the clock crosses.
+        // The rolling-window guarantee: any monotone schedule whose
+        // lookahead stays below the horizon keeps the overflow counters
+        // at exactly zero, no matter how many window widths the clock
+        // crosses.
         let mut ladder = EventQueue::with_horizon(SimDuration::from_ps(600 * 512));
         let mut now_ps = 0u64;
         for (i, &op) in ops.iter().enumerate() {
