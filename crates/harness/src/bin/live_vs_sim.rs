@@ -144,7 +144,6 @@ fn main() -> ExitCode {
                 burn: BurnMode::Sleep,
                 connections: WORKERS * 2,
                 scale: SCALE,
-                replenish_batch: 1,
                 cluster: None,
             },
         )

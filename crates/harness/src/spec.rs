@@ -134,9 +134,6 @@ pub struct LiveParams {
     /// Service-time multiplier (ns-scale profiles × this; see
     /// [`live::BalancerConfig::scale`]).
     pub scale: f64,
-    /// Requests handed per replenish availability slot (≥ 1; only
-    /// [`LivePolicy::Replenish`] batches — a sensitivity knob).
-    pub replenish_batch: usize,
     /// `Some` runs the job as a multi-node cluster
     /// ([`live::cluster::run_cluster`]), with the plan's failure mode
     /// injected mid-run; `None` is one loopback server. Both run the
@@ -154,16 +151,16 @@ impl Default for LiveParams {
             connections: 8,
             // 600 ns synthetic profiles -> 300 µs sleeps.
             scale: 500.0,
-            replenish_batch: 1,
             cluster: None,
         }
     }
 }
 
 /// Simulator knobs a policy-axis entry may override — the
-/// `ablation_sensitivity` axes. Each knob is `None` = keep the
-/// scenario/builder default; every set knob is encoded into
-/// [`policy_spec_key`] so variants can never collide in reports.
+/// `ablation_sensitivity`, `ablation_preemption` and `ablation_emulated`
+/// axes. Each knob is `None`/`false` = keep the scenario/builder
+/// default; every set knob is encoded into [`policy_spec_key`] so
+/// variants can never collide in reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimTune {
     /// Cluster size including the server (§5 default: 200).
@@ -174,11 +171,19 @@ pub struct SimTune {
     pub mtu_bytes: Option<u64>,
     /// Request payload size in bytes (§5 default: 64 B).
     pub request_bytes: Option<u64>,
+    /// Shinjuku-style preemption — the §7 extension study's axis.
+    pub preemption: Option<PreemptionParams>,
+    /// Software-*emulated* messaging (§3.3): each remote source is
+    /// pinned to one core by the memory location its RPCs land in, i.e.
+    /// per-flow instead of per-message assignment (sets
+    /// [`rpcvalet::SystemConfig::rss_per_flow`]).
+    pub rss_per_flow: bool,
 }
 
 impl SimTune {
     /// The key suffix encoding every set knob (empty when nothing is
-    /// overridden), e.g. `"-n8-s4"` or `"-mtu256-req1024"`.
+    /// overridden), e.g. `"-n8-s4"`, `"-mtu256-req1024"` or
+    /// `"-perflow"`.
     pub fn key_suffix(&self) -> String {
         let mut suffix = String::new();
         if let Some(nodes) = self.cluster_nodes {
@@ -192,6 +197,12 @@ impl SimTune {
         }
         if let Some(bytes) = self.request_bytes {
             suffix.push_str(&format!("-req{bytes}"));
+        }
+        if let Some(p) = self.preemption {
+            suffix.push_str(&format!("-preempt-q{}-o{}", p.quantum.as_ps(), p.overhead.as_ps()));
+        }
+        if self.rss_per_flow {
+            suffix.push_str("-perflow");
         }
         suffix
     }
@@ -210,6 +221,10 @@ impl SimTune {
         if let Some(bytes) = self.request_bytes {
             cfg.request_bytes = bytes;
         }
+        if let Some(preemption) = self.preemption {
+            cfg.preemption = Some(preemption);
+        }
+        cfg.rss_per_flow |= self.rss_per_flow;
     }
 }
 
@@ -218,20 +233,10 @@ impl SimTune {
 pub enum PolicySpec {
     /// A `rpcvalet` dispatch policy, run through [`ServerSim`].
     Sim(Policy),
-    /// A dispatch policy with Shinjuku-style preemption enabled — the §7
-    /// extension study's axis (`ablation_preemption`). Shares the plain
-    /// variant's figure label; the policy key gains a `-preempt` suffix.
-    SimPreempt(Policy, PreemptionParams),
-    /// A dispatch policy under software-*emulated* messaging (§3.3): each
-    /// remote source is pinned to one core by the memory location its
-    /// RPCs land in, i.e. per-flow instead of per-message assignment
-    /// (`ablation_emulated`'s axis; sets
-    /// [`rpcvalet::SystemConfig::rss_per_flow`]). The policy key gains a
-    /// `-perflow` suffix.
-    SimEmulatedNic(Policy),
-    /// A dispatch policy with simulator knobs overridden — the
-    /// `ablation_sensitivity` axes (send slots, MTU, payload size,
-    /// cluster size). The policy key gains one suffix per set knob.
+    /// A dispatch policy with simulator knobs overridden ([`SimTune`]:
+    /// send slots, MTU, payload size, cluster size, preemption,
+    /// per-flow affinity). Shares the plain variant's figure label; the
+    /// policy key gains one suffix per set knob.
     SimTuned {
         /// The dispatch policy.
         policy: Policy,
@@ -248,10 +253,7 @@ impl PolicySpec {
     /// The job kind this policy executes as.
     pub fn kind(&self) -> JobKind {
         match self {
-            PolicySpec::Sim(_)
-            | PolicySpec::SimPreempt(..)
-            | PolicySpec::SimEmulatedNic(_)
-            | PolicySpec::SimTuned { .. } => JobKind::ServerSim,
+            PolicySpec::Sim(_) | PolicySpec::SimTuned { .. } => JobKind::ServerSim,
             PolicySpec::Model(_) => JobKind::Queueing,
             PolicySpec::Live(..) => JobKind::Live,
         }
@@ -391,11 +393,9 @@ impl ExperimentSpec {
     /// # Panics
     /// Panics when `self.policy` is not a ServerSim-kind variant.
     pub fn sim_config(&self) -> SystemConfig {
-        let policy = match &self.policy {
-            PolicySpec::Sim(p)
-            | PolicySpec::SimPreempt(p, _)
-            | PolicySpec::SimEmulatedNic(p)
-            | PolicySpec::SimTuned { policy: p, .. } => p.clone(),
+        let (policy, tune) = match &self.policy {
+            PolicySpec::Sim(p) => (p.clone(), None),
+            PolicySpec::SimTuned { policy, tune } => (policy.clone(), Some(tune)),
             other => panic!("not a ServerSim policy: {other:?}"),
         };
         let mut cfg = match &self.workload {
@@ -426,13 +426,34 @@ impl ExperimentSpec {
         if let Some(chip) = &self.chip {
             cfg.chip = chip.clone();
         }
-        match &self.policy {
-            PolicySpec::SimPreempt(_, preemption) => cfg.preemption = Some(*preemption),
-            PolicySpec::SimEmulatedNic(_) => cfg.rss_per_flow = true,
-            PolicySpec::SimTuned { tune, .. } => tune.apply(&mut cfg),
-            _ => {}
+        if let Some(tune) = tune {
+            tune.apply(&mut cfg);
         }
         cfg
+    }
+
+    /// The run a Live-kind job drives: its [`LiveParams`] (cluster plan
+    /// included) at this job's load, request count, service profile and
+    /// seed — untraced and unwindowed.
+    ///
+    /// # Panics
+    /// Panics when `self.policy` is not a Live-kind variant.
+    pub fn live_config(&self) -> LiveRunConfig {
+        let PolicySpec::Live(policy, params) = &self.policy else {
+            panic!("not a live policy: {:?}", self.policy);
+        };
+        LiveRunConfig {
+            cluster: params.cluster,
+            ..LiveRunConfig::new(*policy)
+                .workers(params.workers)
+                .burn(params.burn)
+                .connections(params.connections)
+                .requests(self.requests, self.warmup)
+                .load(self.rate_rps)
+                .service(self.workload.service_dist())
+                .scale(params.scale)
+                .seed(self.seed)
+        }
     }
 
     /// Runs the job to completion on the calling thread.
@@ -475,10 +496,7 @@ impl ExperimentSpec {
         series_interval_ps: u64,
     ) -> ObservedRun {
         match &self.policy {
-            PolicySpec::Sim(_)
-            | PolicySpec::SimPreempt(..)
-            | PolicySpec::SimEmulatedNic(_)
-            | PolicySpec::SimTuned { .. } => {
+            PolicySpec::Sim(_) | PolicySpec::SimTuned { .. } => {
                 let baked = self.trace_capacity;
                 let mut cfg = self.sim_config();
                 cfg.trace_capacity = baked.max(capture);
@@ -556,24 +574,13 @@ impl ExperimentSpec {
                 }
             }
             PolicySpec::Live(policy, params) => {
-                let config = LiveRunConfig::new(*policy)
-                    .workers(params.workers)
-                    .burn(params.burn)
-                    .connections(params.connections)
-                    .requests(self.requests, self.warmup)
-                    .load(self.rate_rps)
-                    .service(self.workload.service_dist())
-                    .scale(params.scale)
-                    .seed(self.seed)
-                    .replenish_batch(params.replenish_batch)
+                let config = self
+                    .live_config()
                     .trace_requests(capture as u64)
                     .series_interval((series_interval_ps > 0).then(|| {
                         std::time::Duration::from_nanos((series_interval_ps / 1_000).max(1))
                     }));
                 let mut label = policy.label(params.workers);
-                if matches!(policy, LivePolicy::Replenish) && params.replenish_batch > 1 {
-                    label = format!("{label}-b{}", params.replenish_batch);
-                }
                 // One client drives every live job, so every job is held
                 // to the accounting identity; redirect frames land in
                 // `flow_control_deferrals` (the live analogue of send-slot
@@ -582,7 +589,7 @@ impl ExperimentSpec {
                 let run = match params.cluster {
                     Some(plan) => {
                         label = format!("{label}-c{}{}", plan.nodes, plan.failure.key_suffix());
-                        live::cluster::run_cluster(&config.cluster(plan))
+                        live::cluster::run_cluster(&config)
                             .unwrap_or_else(|e| panic!("live cluster job failed: {e}"))
                     }
                     // One server is a one-node cluster with no failure plan.
@@ -689,13 +696,6 @@ pub fn policy_key(policy: &Policy) -> String {
 pub fn policy_spec_key(policy: &PolicySpec) -> String {
     match policy {
         PolicySpec::Sim(p) => policy_key(p),
-        PolicySpec::SimPreempt(p, params) => format!(
-            "{}-preempt-q{}-o{}",
-            policy_key(p),
-            params.quantum.as_ps(),
-            params.overhead.as_ps()
-        ),
-        PolicySpec::SimEmulatedNic(p) => format!("{}-perflow", policy_key(p)),
         PolicySpec::SimTuned { policy, tune } => {
             let suffix = tune.key_suffix();
             if suffix.is_empty() {
@@ -711,9 +711,6 @@ pub fn policy_spec_key(policy: &PolicySpec) -> String {
         PolicySpec::Model(c) => format!("model-{}", c.label()),
         PolicySpec::Live(p, params) => {
             let mut key = p.key();
-            if matches!(p, LivePolicy::Replenish) && params.replenish_batch > 1 {
-                key.push_str(&format!("-b{}", params.replenish_batch));
-            }
             if let Some(plan) = params.cluster {
                 // Node count + failure mode; single-node keys (the
                 // pinned v2 set) are untouched because `cluster` is
@@ -1029,13 +1026,13 @@ impl ScenarioMatrix {
     /// | `ablation_outstanding` | sim | HERD + synthetic-fixed × outstanding-per-core 1 vs 2 (§4.3/§6.1) |
     /// | `ablation_dispatcher` | sim | synthetic exponential × 1×16 at near-/at-saturation rates on the 16-core Table 1 chip (§4.3 dispatcher headroom; the binary adds a 64-core matrix via [`ScenarioMatrix::chip`]) |
     /// | `ablation_preemption` | sim | Masstree × the three hardware policies, plain vs Shinjuku-preempted (§7), at 2 and 4 Mrps |
-    /// | `ablation_emulated` | sim | §3.3 emulated messaging: per-message 16×1 vs per-flow affinity ([`PolicySpec::SimEmulatedNic`]) over a 10-point rate grid |
+    /// | `ablation_emulated` | sim | §3.3 emulated messaging: per-message 16×1 vs per-flow affinity ([`SimTune::rss_per_flow`]) over a 10-point rate grid |
     /// | `latency_breakdown` | sim | exp-600 ns service × the three hardware policies at 20/50/80 % load, traced ([`ScenarioMatrix::trace`]) for the per-component means |
     /// | `sens_slots` | sim | send slots S ∈ {1…32} on the policy axis ([`PolicySpec::SimTuned`]), 8-node cluster at 18 Mrps |
     /// | `sens_mtu` | sim | MTU ∈ {64…4096} B × 1 KB requests at light load |
     /// | `sens_mcs` | sim | software 1×16 × MCS handoff ∈ {30…250} ns at 12 Mrps |
     /// | `sens_threshold` | sim | outstanding-per-core ∈ {1,2,4,8} at 17 Mrps |
-    /// | `sens_live` | live | partitioned group counts {1,2} + replenish batch {1,4} over loopback TCP (the live sensitivity knobs) |
+    /// | `sens_live` | live | partitioned group counts {1,2} beside replenish over loopback TCP (the live sensitivity knob) |
     /// | `live_smoke` | live | exponential service × single-queue/RSS/replenish over loopback TCP, 2 sleep-burn workers |
     /// | `live_cluster` | live | 3-node cluster behind the client-side balancer with a mid-run flow migration, × single-queue/partitioned/RSS |
     /// | `live_churn` | live | 2-node cluster under a reconnect storm (half the flows severed twice mid-run), × single-queue/partitioned/RSS |
@@ -1052,6 +1049,15 @@ impl ScenarioMatrix {
         NAMED_MATRICES.iter().map(|&(name, ..)| name).collect()
     }
 }
+
+/// The `sens_slots` grid: send slots per node pair.
+pub(crate) const SENS_SLOTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+/// The `sens_mtu` grid: on-chip MTUs in bytes.
+pub(crate) const SENS_MTUS: [u64; 4] = [64, 256, 1024, 4096];
+/// The `sens_mcs` grid: MCS lock handoff latencies in ns.
+pub(crate) const SENS_HANDOFFS_NS: [u64; 5] = [30, 60, 90, 150, 250];
+/// The `sens_threshold` grid: outstanding requests per core.
+pub(crate) const SENS_THRESHOLDS: [u32; 4] = [1, 2, 4, 8];
 
 /// Shapes a fresh `ScenarioMatrix::new(name, seed)` into a predefined
 /// matrix.
@@ -1154,7 +1160,13 @@ const NAMED_MATRICES: &[(&str, u64, Build)] = &[
                     .flat_map(|p| {
                         [
                             PolicySpec::Sim(p.clone()),
-                            PolicySpec::SimPreempt(p, PreemptionParams::shinjuku_5us()),
+                            PolicySpec::SimTuned {
+                                policy: p,
+                                tune: SimTune {
+                                    preemption: Some(PreemptionParams::shinjuku_5us()),
+                                    ..SimTune::default()
+                                },
+                            },
                         ]
                     })
                     .collect(),
@@ -1166,7 +1178,13 @@ const NAMED_MATRICES: &[(&str, u64, Build)] = &[
         m.workloads(vec![Workload::Synthetic(SyntheticKind::Exponential)])
             .policy_specs(vec![
                 PolicySpec::Sim(Policy::hw_static()),
-                PolicySpec::SimEmulatedNic(Policy::hw_static()),
+                PolicySpec::SimTuned {
+                    policy: Policy::hw_static(),
+                    tune: SimTune {
+                        rss_per_flow: true,
+                        ..SimTune::default()
+                    },
+                },
             ])
             .rates(RateGrid::Shared(
                 (1..=10).map(|i| i as f64 * 1.95e6).collect(),
@@ -1199,7 +1217,7 @@ const NAMED_MATRICES: &[(&str, u64, Build)] = &[
             ServiceDist::exponential_mean_ns(600.0),
         )])
         .policy_specs(
-            [1usize, 2, 4, 8, 16, 32]
+            SENS_SLOTS
                 .iter()
                 .map(|&slots| PolicySpec::SimTuned {
                     policy: Policy::hw_single_queue(),
@@ -1221,7 +1239,7 @@ const NAMED_MATRICES: &[(&str, u64, Build)] = &[
             ServiceDist::fixed_ns(600.0),
         )])
         .policy_specs(
-            [64u64, 256, 1024, 4096]
+            SENS_MTUS
                 .iter()
                 .map(|&mtu| PolicySpec::SimTuned {
                     policy: Policy::hw_single_queue(),
@@ -1243,7 +1261,7 @@ const NAMED_MATRICES: &[(&str, u64, Build)] = &[
             ServiceDist::exponential_mean_ns(600.0),
         )])
         .policies(
-            [30u64, 60, 90, 150, 250]
+            SENS_HANDOFFS_NS
                 .iter()
                 .map(|&handoff_ns| Policy::SwSingleQueue {
                     lock: McsParams {
@@ -1264,7 +1282,7 @@ const NAMED_MATRICES: &[(&str, u64, Build)] = &[
             ServiceDist::exponential_mean_ns(600.0),
         )])
         .policies(
-            [1u32, 2, 4, 8]
+            SENS_THRESHOLDS
                 .iter()
                 .map(|&threshold| Policy::HwSingleQueue {
                     outstanding_per_core: threshold,
@@ -1287,13 +1305,6 @@ const NAMED_MATRICES: &[(&str, u64, Build)] = &[
                     LiveParams::default(),
                 ),
                 PolicySpec::Live(LivePolicy::Replenish, LiveParams::default()),
-                PolicySpec::Live(
-                    LivePolicy::Replenish,
-                    LiveParams {
-                        replenish_batch: 4,
-                        ..LiveParams::default()
-                    },
-                ),
             ])
             .rates(RateGrid::Shared(vec![0.85]))
             .requests(1_000, 100)
@@ -1577,10 +1588,14 @@ mod tests {
         let base = Policy::hw_single_queue();
         let plain = policy_spec_key(&PolicySpec::Sim(base.clone()));
         assert_eq!(plain, "hw-single-t2", "v2 keys must not drift");
-        assert_eq!(
-            policy_spec_key(&PolicySpec::SimEmulatedNic(Policy::hw_static())),
-            "hw-static-perflow"
-        );
+        let perflow = PolicySpec::SimTuned {
+            policy: Policy::hw_static(),
+            tune: SimTune {
+                rss_per_flow: true,
+                ..SimTune::default()
+            },
+        };
+        assert_eq!(policy_spec_key(&perflow), "hw-static-perflow");
         let tuned = |tune: SimTune| policy_spec_key(&PolicySpec::SimTuned {
             policy: base.clone(),
             tune,
@@ -1601,18 +1616,14 @@ mod tests {
             }),
             "hw-single-t2-mtu256-req1024"
         );
-        // Live replenish batch: batch 1 keeps the legacy key.
-        let live = |batch| {
-            policy_spec_key(&PolicySpec::Live(
-                LivePolicy::Replenish,
-                LiveParams {
-                    replenish_batch: batch,
-                    ..LiveParams::default()
-                },
-            ))
-        };
-        assert_eq!(live(1), "live-replenish");
-        assert_eq!(live(4), "live-replenish-b4");
+        assert_eq!(
+            tuned(SimTune {
+                preemption: Some(PreemptionParams::shinjuku_5us()),
+                ..SimTune::default()
+            }),
+            "hw-single-t2-preempt-q5000000-o500000"
+        );
+        assert_eq!(tuned(SimTune::default()), "hw-single-t2-tuned");
     }
 
     #[test]
@@ -1646,6 +1657,18 @@ mod tests {
             vec![64, 256, 1024, 4096]
         );
         assert!(cfgs.iter().all(|c| c.request_bytes == 1024));
+
+        // The derive step labels rows by position in these grids, so
+        // each sweep runs exactly one job per grid point.
+        for (name, grid_len) in [
+            ("sens_slots", SENS_SLOTS.len()),
+            ("sens_mtu", SENS_MTUS.len()),
+            ("sens_mcs", SENS_HANDOFFS_NS.len()),
+            ("sens_threshold", SENS_THRESHOLDS.len()),
+        ] {
+            let jobs = ScenarioMatrix::named(name).unwrap().jobs();
+            assert_eq!(jobs.len(), grid_len, "{name}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use live::{
 };
 
 use crate::plot::sparkline;
-use crate::spec::PolicySpec;
+use crate::spec::JobKind;
 use crate::{ScenarioParams, Scenario};
 
 /// How a `watch` session is paced and bounded.
@@ -277,8 +277,9 @@ pub fn watch_loopback(
     Ok(summary)
 }
 
-/// The first live job of `scenario`, as a runnable [`LiveRunConfig`] —
-/// what `harness watch --scenario <name>` drives.
+/// The first live job of `scenario`, as a runnable [`LiveRunConfig`]
+/// ([`crate::ExperimentSpec::live_config`]) — what `harness watch
+/// --scenario <name>` drives.
 ///
 /// Cluster plans are dropped: `watch` polls one loopback server's
 /// `METRICS` verb, so a cluster scenario watches a single node of the
@@ -290,17 +291,11 @@ pub fn live_spec_for_scenario(
 ) -> Result<LiveRunConfig, String> {
     for matrix in crate::build_matrices(scenario, params) {
         for job in matrix.jobs() {
-            if let PolicySpec::Live(policy, live_params) = &job.policy {
-                return Ok(LiveRunConfig::new(*policy)
-                    .workers(live_params.workers)
-                    .burn(live_params.burn)
-                    .connections(live_params.connections)
-                    .requests(job.requests, job.warmup)
-                    .load(job.rate_rps)
-                    .service(job.workload.service_dist())
-                    .scale(live_params.scale)
-                    .seed(job.seed)
-                    .replenish_batch(live_params.replenish_batch));
+            if job.kind() == JobKind::Live {
+                return Ok(LiveRunConfig {
+                    cluster: None,
+                    ..job.live_config()
+                });
             }
         }
     }
@@ -314,6 +309,7 @@ pub fn live_spec_for_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScenarioMatrix;
 
     fn window(index: u64, completions: u64, busy_sum: u64, samples: u64) -> MetricsWindow {
         MetricsWindow {
@@ -372,6 +368,22 @@ mod tests {
         assert!(spec.workers > 0);
         assert!(spec.requests > 0);
         assert!(spec.load > 0.0);
+    }
+
+    #[test]
+    fn watched_spec_is_the_first_live_jobs_config() {
+        let scenario = crate::find_scenario("live_smoke").expect("live_smoke registered");
+        let params = ScenarioParams::full();
+        let spec = live_spec_for_scenario(scenario, &params).unwrap();
+        let first_live = crate::build_matrices(scenario, &params)
+            .iter()
+            .flat_map(ScenarioMatrix::jobs)
+            .find(|job| job.kind() == JobKind::Live)
+            .expect("live_smoke has live jobs");
+        assert_eq!(
+            format!("{spec:?}"),
+            format!("{:?}", first_live.live_config())
+        );
     }
 
     #[test]

@@ -80,7 +80,6 @@ fn live_hop_durations_sum_to_end_to_end() {
                 burn: BurnMode::Sleep,
                 connections: 4,
                 scale: 50.0,
-                replenish_batch: 1,
                 cluster: None,
             },
         ),

@@ -64,9 +64,6 @@ fn parse_args(mut flags: Flags) -> Result<Args, String> {
             }
             "--workers" => config = config.workers(flags.parse_positive("--workers")? as usize),
             "--burn" => config = config.burn(flags.value("--burn")?.parse()?),
-            "--replenish-batch" => {
-                config = config.replenish_batch(flags.parse_positive("--replenish-batch")? as usize);
-            }
             "--node-id" => config = config.node_id(flags.parse("--node-id")?),
             "--port" => args.port = flags.parse("--port")?,
             "--bind" => args.bind = flags.value("--bind")?,
@@ -78,7 +75,7 @@ fn parse_args(mut flags: Flags) -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: valetd [--policy single|partitioned:G|rss|replenish] \
-                            [--workers n] [--burn sleep|spin] [--replenish-batch n] \
+                            [--workers n] [--burn sleep|spin] \
                             [--node-id n] [--port p] [--bind addr] \
                             [--trace FILE] [--trace-requests n] \
                             [--metrics-addr addr:port] [--metrics-window-ms n]"
@@ -257,6 +254,7 @@ mod tests {
             "--burn hot => unknown burn mode",
             "--port => --port needs a value",
             "--requests 10 => unknown flag `--requests`",
+            "--replenish-batch 4 => unknown flag `--replenish-batch`",
         ] {
             let (line, want) = row.split_once(" => ").expect("`line => error` row");
             let err = parse_line(line).err().unwrap_or_default();

@@ -105,10 +105,6 @@ pub struct LiveRunConfig {
     pub scale: f64,
     /// RNG master seed.
     pub seed: u64,
-    /// Requests handed per replenish slot (≥ 1; only
-    /// [`LivePolicy::Replenish`] batches — the `ablation_sensitivity`
-    /// knob).
-    pub replenish_batch: usize,
     /// `Some(interval)` turns on windowed telemetry on both sides: each
     /// server runs a metrics sampler at this window length (served by
     /// the `METRICS` verb) and the client records a windowed latency
@@ -141,7 +137,6 @@ impl LiveRunConfig {
             service: ServiceDist::exponential_mean_ns(600.0),
             scale: 500.0,
             seed: 1,
-            replenish_batch: 1,
             series_interval: None,
             trace_requests: 0,
             node_id: 0,
@@ -195,12 +190,6 @@ impl LiveRunConfig {
     /// Sets the RNG master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the replenish batch size.
-    pub fn replenish_batch(mut self, batch: usize) -> Self {
-        self.replenish_batch = batch;
         self
     }
 
@@ -302,7 +291,6 @@ impl LiveRunConfig {
             policy: self.policy,
             workers: self.workers,
             burn: self.burn,
-            replenish_batch: self.replenish_batch.max(1),
             trace,
             metrics_interval: self.series_interval,
         }

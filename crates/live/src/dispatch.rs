@@ -24,9 +24,12 @@
 //! | [`LivePolicy::SingleQueue`] (software 1×N) | 1 | the one | the one |
 //! | [`LivePolicy::Partitioned`] (G×N/G) | G | `hash(seq) % G` — the paper's `uni[0, Q−1]` | its group's |
 //! | [`LivePolicy::RssStatic`] (N×1) | N | `hash(conn) % N` — flow affinity | its own |
-//! | [`LivePolicy::Replenish`] (RPCValet) | 1 | the one | the one, up to `replenish_batch` at a time |
+//! | [`LivePolicy::Replenish`] (RPCValet) | 1 | the one | the one |
+//!
+//! A worker is handed one request at a time, as the paper's NI hands a
+//! core one (§4.3), so `Replenish` runs the single-queue code path by
+//! construction and keeps only its own label and report key.
 
-use std::collections::vec_deque::Drain;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
@@ -52,7 +55,9 @@ pub enum LivePolicy {
     /// One queue per worker, routed by connection hash (N×1, RSS-like).
     RssStatic,
     /// RPCValet-style: one queue, each arrival matched to the first free
-    /// worker in the arrival path; workers may replenish in batches.
+    /// worker in the arrival path, one request per hand-off. Dispatches
+    /// exactly as [`LivePolicy::SingleQueue`]; only the label and report
+    /// key differ.
     Replenish,
 }
 
@@ -177,8 +182,7 @@ pub struct DispatchGauges {
     /// Most workers ever parked idle on one queue at once (the
     /// availability "ring" of the replenish discipline).
     pub ring_high_water: u64,
-    /// Deliveries made: each hands one worker one item, or one batch of
-    /// up to `replenish_batch` already-waiting items.
+    /// Deliveries made: one per item handed to a worker.
     pub replenish_batches: u64,
 }
 
@@ -239,12 +243,10 @@ impl<T> MatchQueue<T> {
         }
     }
 
-    /// A worker asking for work: the oldest waiting item plus up to
-    /// `batch - 1` more (the drain, empty unless items waited), or the
-    /// worker is registered idle. Batching never waits for arrivals —
-    /// it amortizes the shared lock, it must not delay dispatch.
-    fn request(&mut self, worker: usize, batch: usize) -> (Pull<T>, Drain<'_, T>) {
-        let pull = match self.pending.pop_front() {
+    /// A worker asking for work: the oldest waiting item, or the worker
+    /// is registered idle.
+    fn request(&mut self, worker: usize) -> Pull<T> {
+        match self.pending.pop_front() {
             Some(first) => {
                 self.gauges.replenish_batches += 1;
                 Pull::Item(first)
@@ -256,9 +258,7 @@ impl<T> MatchQueue<T> {
                     self.gauges.ring_high_water.max(self.idle.len() as u64);
                 Pull::Parked
             }
-        };
-        let extra = self.pending.len().min(batch - 1);
-        (pull, self.pending.drain(..extra))
+        }
     }
 
     /// Closes the queue and returns the workers parked on it, which the
@@ -269,15 +269,15 @@ impl<T> MatchQueue<T> {
     }
 }
 
-/// A worker's private parking spot: the item a hand-off gave it, and
-/// the rest of a batch it pulled.
+/// A worker's private parking spot: the one item a hand-off gave it
+/// while it was parked, held until its `wait` takes it.
 struct Mailbox<T> {
     slot: Mutex<Slot<T>>,
     wake: Condvar,
 }
 
 struct Slot<T> {
-    items: VecDeque<T>,
+    item: Option<T>,
     /// Set by shutdown on a parked worker: wake up empty-handed.
     closed: bool,
 }
@@ -286,7 +286,7 @@ impl<T> Mailbox<T> {
     fn new() -> Self {
         Mailbox {
             slot: Mutex::new(Slot {
-                items: VecDeque::new(),
+                item: None,
                 closed: false,
             }),
             wake: Condvar::new(),
@@ -301,7 +301,7 @@ impl<T> Mailbox<T> {
     fn wait(&self) -> Option<T> {
         let mut slot = self.lock();
         loop {
-            if let Some(item) = slot.items.pop_front() {
+            if let Some(item) = slot.item.take() {
                 return Some(item);
             }
             if slot.closed {
@@ -318,7 +318,6 @@ impl<T> Mailbox<T> {
 /// thread that caused it.
 pub struct Dispatcher<T> {
     policy: LivePolicy,
-    batch: usize,
     queues: Vec<Mutex<MatchQueue<T>>>,
     mailboxes: Vec<Mailbox<T>>,
 }
@@ -329,25 +328,7 @@ pub struct Dispatcher<T> {
 /// Panics if `workers == 0`, or for [`LivePolicy::Partitioned`] when
 /// `groups` is 0, exceeds the worker count, or does not divide it.
 pub fn make_dispatcher<T>(policy: LivePolicy, workers: usize) -> Dispatcher<T> {
-    make_dispatcher_batched(policy, workers, 1)
-}
-
-/// [`make_dispatcher`] with an explicit replenish batch size (the
-/// `ablation_sensitivity` knob; only [`LivePolicy::Replenish`] batches).
-/// With `batch > 1` a worker that finds a backlog takes up to `batch`
-/// requests under one lock acquisition; the extras are pinned to it
-/// like a tiny multi-queue — the paper's §4.3 outstanding-threshold
-/// tradeoff in software form.
-///
-/// # Panics
-/// As [`make_dispatcher`], plus `batch == 0`.
-pub fn make_dispatcher_batched<T>(
-    policy: LivePolicy,
-    workers: usize,
-    batch: usize,
-) -> Dispatcher<T> {
     assert!(workers > 0, "need at least one worker");
-    assert!(batch > 0, "batch must be at least 1");
     let queues = match policy {
         LivePolicy::SingleQueue | LivePolicy::Replenish => 1,
         LivePolicy::Partitioned { groups } => {
@@ -361,10 +342,6 @@ pub fn make_dispatcher_batched<T>(
     };
     Dispatcher {
         policy,
-        batch: match policy {
-            LivePolicy::Replenish => batch,
-            _ => 1,
-        },
         queues: (0..queues).map(|_| Mutex::new(MatchQueue::new())).collect(),
         mailboxes: (0..workers).map(|_| Mailbox::new()).collect(),
     }
@@ -399,28 +376,19 @@ impl<T> Dispatcher<T> {
         let offer = self.queue(self.queue_of(route)).offer(item);
         if let Offer::Handoff(worker, item) = offer {
             let mailbox = &self.mailboxes[worker];
-            mailbox.lock().items.push_back(item);
+            let held = mailbox.lock().item.replace(item);
+            debug_assert!(held.is_none(), "worker {worker} handed a second item");
             mailbox.wake.notify_one();
         }
     }
 
     /// [`Dispatcher::recv`] without the parking: on `Pull::Parked` the
-    /// caller must not ask again until a hand-off reaches its mailbox.
-    /// Registration happens under the queue lock `submit` takes, so no
-    /// arrival can slip between "nothing waits" and "I am idle".
+    /// caller must take its next item from its mailbox's `wait`, never
+    /// ask again first. Registration happens under the queue lock
+    /// `submit` takes, so no arrival can slip between "nothing waits"
+    /// and "I am idle".
     fn poll(&self, worker: usize) -> Pull<T> {
-        let mailbox = &self.mailboxes[worker];
-        // Leftovers of a batch first: a worker holding items is not
-        // idle and must not register as such.
-        if let Some(item) = mailbox.lock().items.pop_front() {
-            return Pull::Item(item);
-        }
-        let mut queue = self.queue(self.queue_for(worker));
-        let (pull, rest) = queue.request(worker, self.batch);
-        if rest.len() > 0 {
-            mailbox.lock().items.extend(rest);
-        }
-        pull
+        self.queue(self.queue_for(worker)).request(worker)
     }
 
     /// Blocks for the next item for `worker`; `None` once shut down
@@ -514,14 +482,14 @@ mod tests {
     }
 
     /// The same discipline over plain `VecDeque`s and no locks: what
-    /// waits per queue, who is idle per queue, what each worker holds —
-    /// and the paper's routing written out again, so that `queue_of` and
-    /// `queue_for` are checked rather than trusted.
+    /// waits per queue, who is idle per queue, what each worker's
+    /// mailbox holds — and the paper's routing written out again, so
+    /// that `queue_of` and `queue_for` are checked rather than trusted.
     struct Oracle {
         policy: LivePolicy,
         waiting: Vec<VecDeque<u64>>,
         idle: Vec<VecDeque<usize>>,
-        held: Vec<VecDeque<u64>>,
+        held: Vec<Option<u64>>,
     }
 
     impl Oracle {
@@ -535,7 +503,7 @@ mod tests {
                 policy,
                 waiting: vec![VecDeque::new(); queues],
                 idle: vec![VecDeque::new(); queues],
-                held: vec![VecDeque::new(); workers],
+                held: vec![None; workers],
             }
         }
 
@@ -554,18 +522,19 @@ mod tests {
         }
     }
 
-    /// Drives the real dispatcher from one thread (`poll`, so nothing
-    /// blocks) through a seeded sequence of arrivals and worker
-    /// requests, checks every answer against the [`Oracle`] and the
-    /// invariants after every step, then shuts down and drains. Returns
-    /// the delivery log `(worker, item)`; an item is `conn << 32 | seq`.
+    /// Drives the real dispatcher from one thread through a seeded
+    /// sequence of arrivals and worker requests, taking each step the
+    /// way `recv` would without ever blocking: a worker with mail takes
+    /// it through its mailbox's `wait`, any other one `poll`s. Checks
+    /// every answer against the [`Oracle`] and the invariants after
+    /// every step, then shuts down and drains. Returns the delivery log
+    /// `(worker, item)`; an item is `conn << 32 | seq`.
     fn run_model(
         policy: LivePolicy,
         workers: usize,
-        batch: usize,
         seed: u64,
     ) -> Result<Vec<(usize, u64)>, TestCaseError> {
-        let d = make_dispatcher_batched::<u64>(policy, workers, batch);
+        let d = make_dispatcher::<u64>(policy, workers);
         let mut o = Oracle::new(policy, workers);
         let queues = o.waiting.len();
         prop_assert_eq!(d.queues.len(), queues);
@@ -585,29 +554,28 @@ mod tests {
                 submitted += 1;
                 d.submit(route, item);
                 match o.idle[q].pop_front() {
-                    Some(w) => o.held[w].push_back(item),
+                    Some(w) => {
+                        let earlier = o.held[w].replace(item);
+                        prop_assert!(earlier.is_none(), "worker {} handed two items", w);
+                    }
                     None => o.waiting[q].push_back(item),
                 }
                 deepest = deepest.max(o.waiting[q].len() as u64);
             } else if parked {
-                // A parked worker is blocked in `recv`; it comes back
-                // only once a hand-off has filled its mailbox (below).
+                // A parked worker is blocked in `recv` until a hand-off
+                // fills its mailbox.
+            } else if let Some(item) = o.held[worker].take() {
+                // That hand-off came: `recv` returns the mail.
+                prop_assert_eq!(d.mailboxes[worker].wait(), Some(item), "step {}", step);
+                log.push((worker, item));
             } else {
                 let q = o.queue_for(worker);
-                let expected = match o.held[worker].pop_front() {
-                    Some(item) => Pull::Item(item),
-                    None => match o.waiting[q].pop_front() {
-                        Some(first) => {
-                            let extra = o.waiting[q].len().min(d.batch - 1);
-                            let rest = o.waiting[q].drain(..extra);
-                            o.held[worker].extend(rest);
-                            Pull::Item(first)
-                        }
-                        None => {
-                            o.idle[q].push_back(worker);
-                            Pull::Parked
-                        }
-                    },
+                let expected = match o.waiting[q].pop_front() {
+                    Some(first) => Pull::Item(first),
+                    None => {
+                        o.idle[q].push_back(worker);
+                        Pull::Parked
+                    }
                 };
                 prop_assert_eq!(d.poll(worker), expected, "step {}", step);
                 if let Pull::Item(item) = expected {
@@ -626,26 +594,30 @@ mod tests {
                 );
                 prop_assert!(queue.idle.len() <= workers / queues);
                 for &w in &queue.idle {
-                    prop_assert!(o.held[w].is_empty(), "parked with mail: worker {}", w);
+                    prop_assert!(o.held[w].is_none(), "parked with mail: worker {}", w);
                 }
             }
             for (w, mailbox) in d.mailboxes.iter().enumerate() {
-                prop_assert_eq!(&mailbox.lock().items, &o.held[w], "mailbox {}", w);
+                prop_assert_eq!(mailbox.lock().item, o.held[w], "mailbox {}", w);
             }
         }
         let gauges = d.gauges();
         prop_assert_eq!(gauges.queue_high_water, deepest);
         prop_assert!(gauges.ring_high_water <= (workers / queues) as u64);
-        if d.batch == 1 {
-            let in_hand: usize = o.held.iter().map(VecDeque::len).sum();
-            prop_assert_eq!(gauges.replenish_batches, (log.len() + in_hand) as u64);
-        }
+        let in_hand = o.held.iter().flatten().count();
+        prop_assert_eq!(gauges.replenish_batches, (log.len() + in_hand) as u64);
         // Closed *and* drained: every parked worker wakes empty-handed,
-        // every other one gets what is left before its `None`.
+        // a worker with mail takes it, and each then gets what is left
+        // before its `None`.
         d.shutdown();
         for worker in 0..workers {
             let parked = o.idle[o.queue_for(worker)].contains(&worker);
             prop_assert_eq!(d.mailboxes[worker].lock().closed, parked);
+            let mail = o.held[worker].take();
+            if parked || mail.is_some() {
+                prop_assert_eq!(d.mailboxes[worker].wait(), mail);
+            }
+            log.extend(mail.map(|item| (worker, item)));
             while let Some(item) = d.recv(worker) {
                 log.push((worker, item));
             }
@@ -675,13 +647,12 @@ mod tests {
             seed in any::<u64>(),
             which in 0usize..4,
             workers in prop_oneof![Just(2usize), Just(4usize), Just(6usize)],
-            batch in 1usize..5,
         ) {
-            let log = run_model(POLICIES[which], workers, batch, seed)?;
-            // Replenish at batch 1 *is* the single queue: same schedule,
-            // same worker for every request.
+            let log = run_model(POLICIES[which], workers, seed)?;
+            // Replenish *is* the single queue: same schedule, same worker
+            // for every request.
             if POLICIES[which] == LivePolicy::SingleQueue {
-                let replenish = run_model(LivePolicy::Replenish, workers, 1, seed)?;
+                let replenish = run_model(LivePolicy::Replenish, workers, seed)?;
                 prop_assert_eq!(log, replenish);
             }
         }
@@ -751,21 +722,19 @@ mod tests {
     #[test]
     fn shutdown_delivers_every_pending_item_before_none() {
         for policy in POLICIES {
-            for batch in [1, 3] {
-                let d = make_dispatcher_batched::<u64>(policy, 4, batch);
-                for seq in 0..23 {
-                    d.submit(RouteKey { conn: seq % 7, seq }, seq);
-                }
-                d.shutdown();
-                d.shutdown(); // idempotent
-                let mut got = Vec::new();
-                for worker in 0..4 {
-                    got.extend(std::iter::from_fn(|| d.recv(worker)));
-                    assert_eq!(d.recv(worker), None, "{policy}: None is forever");
-                }
-                got.sort_unstable();
-                assert_eq!(got, (0..23).collect::<Vec<_>>(), "{policy} batch {batch}");
+            let d = make_dispatcher::<u64>(policy, 4);
+            for seq in 0..23 {
+                d.submit(RouteKey { conn: seq % 7, seq }, seq);
             }
+            d.shutdown();
+            d.shutdown(); // idempotent
+            let mut got = Vec::new();
+            for worker in 0..4 {
+                got.extend(std::iter::from_fn(|| d.recv(worker)));
+                assert_eq!(d.recv(worker), None, "{policy}: None is forever");
+            }
+            got.sort_unstable();
+            assert_eq!(got, (0..23).collect::<Vec<_>>(), "{policy}");
         }
     }
 

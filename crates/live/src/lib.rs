@@ -16,7 +16,7 @@
 //! | [`LivePolicy::SingleQueue`] | software 1×16 | the one shared queue |
 //! | [`LivePolicy::Partitioned`] | 4×4 hardware partitioned dispatch | one of `G`, by sequence hash / its group's |
 //! | [`LivePolicy::RssStatic`] | 16×1 receive-side scaling | its connection's, by hash / its own |
-//! | [`LivePolicy::Replenish`] | RPCValet | the one shared queue; workers may replenish up to `replenish_batch` waiting requests at a time |
+//! | [`LivePolicy::Replenish`] | RPCValet | the one shared queue, one request per hand-off — the single-queue path under its own label |
 //!
 //! The point is the paper's own model-vs-measurement discipline (its
 //! Fig. 2 queueing models vs Fig. 7–9 system results): the simulator
@@ -72,9 +72,7 @@ pub mod stats;
 
 pub use cluster::{Cluster, ClusterOutcome, NodeDirectory, NodeLaunch};
 pub use config::{ClusterPlan, FailureMode, LiveRunConfig};
-pub use dispatch::{
-    make_dispatcher, make_dispatcher_batched, DispatchGauges, Dispatcher, LivePolicy, RouteKey,
-};
+pub use dispatch::{make_dispatcher, DispatchGauges, Dispatcher, LivePolicy, RouteKey};
 pub use exporter::MetricsExporter;
 pub use loadgen::{run_balancer, BalancerConfig, LiveRunStats};
 pub use protocol::{

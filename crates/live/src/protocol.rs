@@ -284,8 +284,7 @@ pub struct StatsSnapshot {
     pub queue_high_water: u64,
     /// Most workers parked idle on one queue at once.
     pub ring_high_water: u64,
-    /// Deliveries to workers: one request each, or one batch under
-    /// replenish batching.
+    /// Deliveries to workers: one per item handed to a worker.
     pub replenish_batches: u64,
     /// Trace events lost to a full ring since server start (0 when
     /// tracing is off or the capture is whole). A non-zero value means

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use telemetry::Hop;
 
-use crate::dispatch::{make_dispatcher_batched, Dispatcher, LivePolicy, RouteKey};
+use crate::dispatch::{make_dispatcher, Dispatcher, LivePolicy, RouteKey};
 use crate::protocol::{
     decode_drain_request, decode_metrics_request, encode_shutdown_response, DrainAction,
     DrainReply, FrameReader, MetricsReply, Redirect, Request, Response, StatsSnapshot,
@@ -84,9 +84,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// How workers burn service time.
     pub burn: BurnMode,
-    /// Requests handed to a worker per replenish slot (≥ 1; only
-    /// [`LivePolicy::Replenish`] batches).
-    pub replenish_batch: usize,
     /// Request-lifecycle trace sink; `None` serves untraced. The hops
     /// stamped are the simulator's: arrival (frame read), reassembled
     /// (frame decoded), dispatched (about to be handed to the dispatch
@@ -108,7 +105,6 @@ impl Default for ServerConfig {
             policy: LivePolicy::Replenish,
             workers: 4,
             burn: BurnMode::Sleep,
-            replenish_batch: 1,
             trace: None,
             metrics_interval: None,
         }
@@ -180,11 +176,7 @@ impl Server {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            dispatcher: make_dispatcher_batched(
-                config.policy,
-                config.workers,
-                config.replenish_batch,
-            ),
+            dispatcher: make_dispatcher(config.policy, config.workers),
             stats: ServerStats::new(config.workers),
             trace: config.trace,
             metrics: config.metrics_interval.map(|interval| {
@@ -569,7 +561,6 @@ mod tests {
                 policy,
                 workers: 2,
                 burn: BurnMode::Sleep,
-                replenish_batch: 1,
                 trace: None,
                 metrics_interval: None,
             },

@@ -277,7 +277,7 @@ pub fn render_prometheus(
     );
     counter(
         "valetd_replenish_batches_total",
-        "Deliveries to workers (one request each, or one replenish batch).",
+        "Deliveries to workers (one per item handed to a worker).",
         snapshot.replenish_batches,
     );
     counter(

@@ -1,17 +1,17 @@
-//! The dispatch core under real threads: every policy × batch {1, 4} ×
-//! {1, 3} submitters, checked at quiescence for what the deterministic
-//! model test (`dispatch.rs`) checks step by step — each item delivered
+//! The dispatch core under real threads: every policy × {1, 3}
+//! submitters, checked at quiescence for what the deterministic model
+//! test (`dispatch.rs`) checks step by step — each item delivered
 //! exactly once, nothing left waiting beside an idle worker (the run
 //! would never quiesce), per-queue FIFO as far as one worker can see it,
 //! every group served under partitioning, per-connection affinity under
-//! RSS, and gauges within their bounds.
+//! RSS, and one delivery counted per item.
 //! The schedule is seeded; a failure prints the seed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use live::{make_dispatcher_batched, LivePolicy, RouteKey};
+use live::{make_dispatcher, LivePolicy, RouteKey};
 use simkit::rng::split_seed;
 
 const WORKERS: usize = 4;
@@ -21,9 +21,9 @@ const CONNS: u64 = 5;
 /// An item is `submitter << 48 | conn << 32 | n`, with `n` counting up
 /// per submitter and connections private to their submitter, so both
 /// "in submission order" and "same connection" are readable off it.
-fn stress(policy: LivePolicy, batch: usize, submitters: u64, seed: u64) {
-    let context = format!("{policy} batch {batch} submitters {submitters} seed {seed}");
-    let dispatcher = make_dispatcher_batched::<u64>(policy, WORKERS, batch);
+fn stress(policy: LivePolicy, submitters: u64, seed: u64) {
+    let context = format!("{policy} submitters {submitters} seed {seed}");
+    let dispatcher = make_dispatcher::<u64>(policy, WORKERS);
     let total = submitters * PER_SUBMITTER;
     let received = AtomicU64::new(0);
     let start = Barrier::new(WORKERS + submitters as usize + 1);
@@ -85,8 +85,8 @@ fn stress(policy: LivePolicy, batch: usize, submitters: u64, seed: u64) {
     all.dedup();
     assert_eq!(all.len() as u64, total, "no duplicates: {context}");
     for (w, log) in logs.iter().enumerate() {
-        // One worker drains one FIFO (its mailbox is FIFO too), so each
-        // submitter's items reach it in submission order.
+        // One worker drains one FIFO, so each submitter's items reach it
+        // in submission order.
         for s in 0..submitters {
             let of_s = log.iter().filter(|&&item| item >> 48 == s);
             let ns: Vec<u64> = of_s.map(|item| item & 0xFFFF_FFFF).collect();
@@ -114,10 +114,7 @@ fn stress(policy: LivePolicy, batch: usize, submitters: u64, seed: u64) {
     let gauges = dispatcher.gauges();
     assert!(gauges.ring_high_water <= WORKERS as u64, "{context}");
     assert!(gauges.queue_high_water <= total, "{context}");
-    assert!(gauges.replenish_batches <= total, "{context}");
-    if batch == 1 || policy != LivePolicy::Replenish {
-        assert_eq!(gauges.replenish_batches, total, "{context}");
-    }
+    assert_eq!(gauges.replenish_batches, total, "{context}");
 }
 
 #[test]
@@ -129,11 +126,9 @@ fn every_policy_survives_concurrent_submitters_and_workers() {
         LivePolicy::Replenish,
     ];
     for (i, policy) in policies.into_iter().enumerate() {
-        for batch in [1, 4] {
-            for submitters in [1, 3] {
-                for round in 0..3 {
-                    stress(policy, batch, submitters, 1_000 * i as u64 + round);
-                }
+        for submitters in [1, 3] {
+            for round in 0..3 {
+                stress(policy, submitters, 1_000 * i as u64 + round);
             }
         }
     }

@@ -63,7 +63,7 @@ fn single_queue_beats_rss_at_high_load() {
 #[test]
 fn replenish_drains_and_starves_no_worker() {
     let _machine = MACHINE.lock().unwrap_or_else(|e| e.into_inner());
-    // That replenish (batch 1) dispatches exactly like the single queue
+    // That replenish dispatches exactly like the single queue
     // is pinned without a clock by the model test in `dispatch.rs`;
     // here only what needs real sockets: the run drains, and free-worker
     // matching keeps both workers busy.
