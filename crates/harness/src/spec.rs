@@ -8,7 +8,7 @@
 //!   (Figs. 7–8); rates are absolute requests/second.
 //! * [`JobKind::Queueing`] — a `queueing::QueueingModel` Q×U run
 //!   (Figs. 2, 9 model lines); rates are load *fractions* of capacity.
-//! * [`JobKind::Live`] — a real loopback TCP run (`live::run_loopback`):
+//! * [`JobKind::Live`] — a real loopback TCP run (`live::run_loopback_observed`):
 //!   actual threads on actual queues; rates are load fractions. Live
 //!   jobs measure wall-clock behaviour and are therefore **exempt from
 //!   the harness's byte-identical determinism contract** — everything
@@ -38,7 +38,7 @@ pub enum JobKind {
     ServerSim,
     /// Theoretical Q×U queueing model (`queueing::QueueingModel`).
     Queueing,
-    /// Live loopback serving (`live::run_loopback`).
+    /// Live loopback serving (`live::run_loopback_observed`).
     Live,
 }
 
@@ -482,10 +482,10 @@ impl ExperimentSpec {
     /// records a windowed telemetry series. Sim jobs sample off
     /// simulated time at the top of the event loop — the measurement
     /// stays byte-identical to the unwindowed run for any thread count.
-    /// Live jobs window both sides: the server runs a metrics sampler and
-    /// the load generator buckets client-side latency; the returned
-    /// series is the client-side one (the paper's measurement
-    /// convention). Model jobs have no timeline and return `None`.
+    /// Live jobs window the client side only (the paper's measurement
+    /// convention): the load generator buckets arrivals, completions and
+    /// latency per window, and no server runs a metrics sampler. Model
+    /// jobs have no timeline and return `None`.
     ///
     /// # Panics
     /// Same contract as [`ExperimentSpec::run`].

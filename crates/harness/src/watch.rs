@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use live::{
-    query_metrics, run_balancer, BalancerConfig, LiveRunConfig, MetricsWindow, NodeDirectory,
-    Server,
+    query_metrics, run_balancer, BalancerConfig, LiveRunConfig, NodeDirectory, Server, ServerConfig,
 };
+use telemetry::{derive_series, DerivedPoint, SeriesWindow};
 
 use crate::plot::sparkline;
 use crate::spec::JobKind;
@@ -78,48 +78,19 @@ pub fn render_frame(
     label: &str,
     interval_ps: u64,
     workers: u32,
-    history: &[MetricsWindow],
+    history: &[SeriesWindow],
     frame: u64,
     width: usize,
 ) -> String {
     let interval_s = interval_ps as f64 * 1e-12;
     let tail_start = history.len().saturating_sub(width);
     let tail = &history[tail_start..];
-
-    let throughput: Vec<f64> = tail
-        .iter()
-        .map(|w| w.completions as f64 / interval_s)
-        .collect();
-    let occupancy: Vec<f64> = tail
-        .iter()
-        .map(|w| {
-            if w.samples == 0 || workers == 0 {
-                f64::NAN
-            } else {
-                w.busy_sum as f64 / (w.samples as f64 * workers as f64)
-            }
-        })
-        .collect();
-    let queued: Vec<f64> = tail
-        .iter()
-        .map(|w| {
-            if w.samples == 0 {
-                f64::NAN
-            } else {
-                w.queued_sum as f64 / w.samples as f64
-            }
-        })
-        .collect();
-    let inflight: Vec<f64> = tail
-        .iter()
-        .map(|w| {
-            if w.samples == 0 {
-                f64::NAN
-            } else {
-                w.inflight_sum as f64 / w.samples as f64
-            }
-        })
-        .collect();
+    let derived = derive_series(tail, interval_ps, u64::from(workers));
+    let column = |f: fn(&DerivedPoint) -> f64| -> Vec<f64> { derived.iter().map(f).collect() };
+    let throughput = column(|p| p.throughput_rps);
+    let occupancy = column(|p| p.occupancy);
+    let queued = column(|p| p.mean_queue_depth);
+    let inflight = column(|p| p.mean_inflight);
 
     let peak = |v: &[f64]| v.iter().cloned().filter(|x| !x.is_nan()).fold(0.0, f64::max);
     let last = |v: &[f64]| v.last().copied().unwrap_or(f64::NAN);
@@ -198,7 +169,7 @@ fn poll(
     drained: &dyn Fn() -> bool,
 ) -> io::Result<WatchSummary> {
     let mut summary = WatchSummary::default();
-    let mut history: Vec<MetricsWindow> = Vec::new();
+    let mut history: Vec<SeriesWindow> = Vec::new();
     let mut since = 0u64;
     loop {
         let last = drained();
@@ -246,11 +217,14 @@ pub fn watch_loopback(
     label: &str,
     out: &mut dyn Write,
 ) -> io::Result<WatchSummary> {
-    // The watched server's sampler must be on at the dashboard's window
-    // length, whatever the config said; the client-side series stays
-    // off — the dashboard reads the *server's* windows over the wire.
-    let spec = spec.clone().series_interval(Some(window));
-    let server = Server::start(spec.server_config(None), "127.0.0.1:0")?;
+    // The watched server's sampler runs at the dashboard's window
+    // length; the client-side series stays off — the dashboard reads
+    // the *server's* windows over the wire.
+    let server_config = ServerConfig {
+        metrics_interval: Some(window),
+        ..spec.server_config(None)
+    };
+    let server = Server::start(server_config, "127.0.0.1:0")?;
     let addr = server.local_addr();
     let client = BalancerConfig {
         series_interval: None,
@@ -311,16 +285,14 @@ mod tests {
     use super::*;
     use crate::ScenarioMatrix;
 
-    fn window(index: u64, completions: u64, busy_sum: u64, samples: u64) -> MetricsWindow {
-        MetricsWindow {
-            index,
+    fn window(index: u64, completions: u64, busy_sum: u64, samples: u64) -> SeriesWindow {
+        SeriesWindow {
             arrivals: completions,
             completions,
             samples,
             busy_sum,
-            queued_sum: 0,
-            queued_max: 0,
             inflight_sum: busy_sum,
+            ..SeriesWindow::empty(index, 0, 0)
         }
     }
 
@@ -349,8 +321,7 @@ mod tests {
 
     #[test]
     fn width_bounds_the_tail() {
-        let history: Vec<MetricsWindow> =
-            (0..100).map(|i| window(i, 1, 1, 1)).collect();
+        let history: Vec<SeriesWindow> = (0..100).map(|i| window(i, 1, 1, 1)).collect();
         let frame = render_frame("demo", 1_000_000_000, 1, &history, 1, 8);
         // 8 history columns -> 8 sparkline chars per row.
         let line = frame

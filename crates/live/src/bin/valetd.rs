@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use live::cli::Flags;
-use live::{LivePolicy, LiveRunConfig, MetricsExporter, Server, TraceSink};
+use live::{LivePolicy, LiveRunConfig, MetricsExporter, Server, ServerConfig, TraceSink};
 use telemetry::{EventRing, RingFlusher, TraceMeta, TraceWriter};
 
 struct Args {
@@ -87,10 +87,6 @@ fn parse_args(mut flags: Flags) -> Result<Args, String> {
     if args.trace.is_none() && args.trace_requests.is_some() {
         return Err("--trace-requests needs --trace".to_owned());
     }
-    config = config.series_interval(
-        (args.metrics_addr.is_some() || args.metrics_window_ms.is_some())
-            .then(|| Duration::from_millis(args.metrics_window_ms.unwrap_or(250))),
-    );
     // Surface cross-field mistakes as usage errors, not dispatcher
     // panics.
     config.validate()?;
@@ -158,10 +154,14 @@ fn main() -> ExitCode {
         None => None,
     };
     install_shutdown_handler();
-    let server = match Server::start(
-        config.server_config(trace),
-        format!("{}:{}", args.bind, args.port),
-    ) {
+    // Either metrics flag starts the sampler the exposition and the
+    // `METRICS` verb read.
+    let server_config = ServerConfig {
+        metrics_interval: (args.metrics_addr.is_some() || args.metrics_window_ms.is_some())
+            .then(|| Duration::from_millis(args.metrics_window_ms.unwrap_or(250))),
+        ..config.server_config(trace)
+    };
+    let server = match Server::start(server_config, format!("{}:{}", args.bind, args.port)) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("bind {}:{}: {e}", args.bind, args.port);

@@ -4,8 +4,8 @@
 //! loopback used by tests and the harness, and the multi-node cluster
 //! with its failure drivers — consumes this one builder: construct with
 //! [`LiveRunConfig::new`], override what the defaults get wrong, and hand
-//! the result to [`crate::run_loopback`], [`crate::run_loopback_observed`],
-//! or [`crate::cluster::run_cluster`]. The server- and client-side
+//! the result to [`crate::run_loopback_observed`] or
+//! [`crate::cluster::run_cluster`]. The server- and client-side
 //! configs the lower layers speak ([`ServerConfig`], [`BalancerConfig`])
 //! are derived from it; only the `loadgen` binary, which drives servers
 //! it did not start, fills in a [`BalancerConfig`] itself.
@@ -105,10 +105,10 @@ pub struct LiveRunConfig {
     pub scale: f64,
     /// RNG master seed.
     pub seed: u64,
-    /// `Some(interval)` turns on windowed telemetry on both sides: each
-    /// server runs a metrics sampler at this window length (served by
-    /// the `METRICS` verb) and the client records a windowed latency
-    /// series. `None` runs unwindowed.
+    /// `Some(interval)` makes the client record a windowed series
+    /// (arrivals, completions and latency per window) at this window
+    /// length. `None` runs unwindowed. Client side only: servers start
+    /// no sampler for it (see [`ServerConfig::metrics_interval`]).
     pub series_interval: Option<Duration>,
     /// Stamp request-lifecycle hops for the first N requests (0 = off;
     /// single-node runs only).
@@ -193,7 +193,7 @@ impl LiveRunConfig {
         self
     }
 
-    /// Turns on windowed telemetry at `interval`.
+    /// Turns on the client-side windowed series at `interval`.
     pub fn series_interval(mut self, interval: Option<Duration>) -> Self {
         self.series_interval = interval;
         self
@@ -285,14 +285,16 @@ impl LiveRunConfig {
     }
 
     /// The per-node server config this run calls for (`trace` is only
-    /// ever set for single-node observed runs).
+    /// ever set for single-node observed runs). It runs no metrics
+    /// sampler: callers that read the server's windows set
+    /// [`ServerConfig::metrics_interval`] themselves.
     pub fn server_config(&self, trace: Option<TraceSink>) -> ServerConfig {
         ServerConfig {
             policy: self.policy,
             workers: self.workers,
             burn: self.burn,
             trace,
-            metrics_interval: self.series_interval,
+            metrics_interval: None,
         }
     }
 
@@ -326,6 +328,14 @@ mod tests {
         let tri = single.clone().cluster(ClusterPlan::new(3));
         assert_eq!(tri.total_workers(), 3 * single.total_workers());
         assert!((tri.rate_rps() - 3.0 * single.rate_rps()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn client_series_starts_no_server_sampler() {
+        let config = LiveRunConfig::new(LivePolicy::Replenish)
+            .series_interval(Some(Duration::from_millis(5)));
+        assert!(config.balancer_config().series_interval.is_some());
+        assert_eq!(config.server_config(None).metrics_interval, None);
     }
 
     #[test]

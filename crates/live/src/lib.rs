@@ -25,23 +25,31 @@
 //! `live_vs_sim` bench binary).
 //!
 //! Every way of running the tier goes through one configuration type,
-//! [`LiveRunConfig`]: single-node loopback ([`run_loopback`],
-//! [`run_loopback_observed`]) and the multi-node cluster with failure
-//! injection ([`cluster::run_cluster`]). Both drive their servers with
-//! the same client — one server is a one-node [`NodeDirectory`] — so
-//! every run ends with the same request accounting, `completed +
-//! redirected + rejected == issued`.
+//! [`LiveRunConfig`]: single-node loopback ([`run_loopback_observed`])
+//! and the multi-node cluster with failure injection
+//! ([`cluster::run_cluster`]). Both drive their servers with the same
+//! client — one server is a one-node [`NodeDirectory`] — so every run
+//! ends with the same request accounting, `completed + redirected +
+//! rejected == issued`.
+//!
+//! Windowed telemetry uses the simulator's [`telemetry::SeriesWindow`]
+//! on both sides of the wire, behind two separate switches.
+//! [`LiveRunConfig::series_interval`] windows the client's view (the
+//! series a harness run stores). [`ServerConfig::metrics_interval`]
+//! starts the server's `valetd-sampler` thread, whose windows the
+//! `METRICS` verb and the Prometheus exposition serve; only `valetd`
+//! and `harness watch`, which read them, set it.
 //!
 //! ## In-process quickstart
 //!
 //! ```no_run
-//! use live::{run_loopback, LivePolicy, LiveRunConfig};
+//! use live::{run_loopback_observed, LivePolicy, LiveRunConfig};
 //!
 //! let config = LiveRunConfig::new(LivePolicy::Replenish)
 //!     .connections(4)
 //!     .seed(7);
-//! let stats = run_loopback(&config).unwrap();
-//! println!("{}", stats.summary());
+//! let outcome = run_loopback_observed(&config).unwrap();
+//! println!("{}", outcome.stats.summary());
 //! ```
 //!
 //! ## Cluster quickstart
@@ -77,7 +85,7 @@ pub use exporter::MetricsExporter;
 pub use loadgen::{run_balancer, BalancerConfig, LiveRunStats};
 pub use protocol::{
     encode_metrics_request, encode_stats_request, read_frame, write_frame, DrainAction, DrainReply,
-    MetricsReply, MetricsWindow, Request, Response, StatsSnapshot, WorkerStats,
+    MetricsReply, Request, Response, StatsSnapshot, WorkerStats,
 };
 pub use server::{BurnMode, Server, ServerConfig};
 pub use stats::{render_prometheus, MetricsHub, ServerStats, TraceSink, SAMPLES_PER_WINDOW};
@@ -115,21 +123,10 @@ pub fn reduce_timer_slack() {
     }
 }
 
-/// Runs one server + client pair over loopback TCP and returns the
-/// client-side statistics.
-///
-/// The server binds an ephemeral port on 127.0.0.1, the client drives
-/// it as a one-node directory to completion, and the server is stopped
-/// before returning — nothing leaks between runs. Any [`LiveRunConfig::cluster`] plan is
-/// ignored here; use [`cluster::run_cluster`] for those.
-pub fn run_loopback(config: &LiveRunConfig) -> io::Result<LiveRunStats> {
-    run_loopback_observed(config).map(|outcome| outcome.stats)
-}
-
 /// Everything one observed loopback run produces.
 #[derive(Debug)]
 pub struct LoopbackOutcome {
-    /// Client-side latency statistics (what [`run_loopback`] returns).
+    /// Client-side latency statistics.
     pub stats: LiveRunStats,
     /// Where every issued request ended up; `lost() == 0` is the run's
     /// zero-lost guarantee, returned unasserted as in
@@ -144,18 +141,19 @@ pub struct LoopbackOutcome {
     pub events: Vec<TraceEvent>,
     /// Trace events lost to a full ring (0 means the capture is whole).
     pub dropped: u64,
-    /// The server's sealed metrics windows, fetched via the `METRICS`
-    /// verb just before shutdown (empty reply when
-    /// [`LiveRunConfig::series_interval`] was `None`).
-    pub server_series: MetricsReply,
 }
 
-/// [`run_loopback`], with telemetry: always queries the server's
-/// `STATS` snapshot, and — when [`LiveRunConfig::trace_requests`] is
-/// nonzero — stamps request-lifecycle hops for the first N requests
-/// through a bounded ring drained by a background flusher (the `valetd`
-/// hot path never blocks on trace I/O; a full ring shows up in
-/// `dropped`, never in latency).
+/// Runs one server + client pair over loopback TCP.
+///
+/// The server binds an ephemeral port on 127.0.0.1, the client drives
+/// it as a one-node directory to completion, one `STATS` query reads the
+/// server's snapshot, and the server is stopped before returning —
+/// nothing leaks between runs. When [`LiveRunConfig::trace_requests`]
+/// is nonzero, the first N requests' lifecycle hops are stamped through
+/// a bounded ring drained by a background flusher (the `valetd` hot path
+/// never blocks on trace I/O; a full ring shows up in `dropped`, never
+/// in latency). Any [`LiveRunConfig::cluster`] plan is ignored here; use
+/// [`cluster::run_cluster`] for those.
 pub fn run_loopback_observed(config: &LiveRunConfig) -> io::Result<LoopbackOutcome> {
     config
         .validate()
@@ -175,13 +173,11 @@ pub fn run_loopback_observed(config: &LiveRunConfig) -> io::Result<LoopbackOutco
         &Arc::new(NodeDirectory::new(vec![addr])),
     );
     // Snapshot over the wire while the server still serves — the same
-    // path an external `STATS`/`METRICS` client uses — then stop it.
+    // path an external `STATS` client uses — then stop it.
     let server_snapshot = query_stats(addr);
-    let server_series = query_metrics(addr, 0);
     server.stop();
     let (stats, accounting, redirects) = run?;
     let server_snapshot = server_snapshot?;
-    let server_series = server_series?;
     let (events, dropped) = match (flusher, ring) {
         // Producers have quiesced (server stopped): the flusher's final
         // drain returns the complete capture.
@@ -195,7 +191,6 @@ pub fn run_loopback_observed(config: &LiveRunConfig) -> io::Result<LoopbackOutco
         server: server_snapshot,
         events,
         dropped,
-        server_series,
     })
 }
 

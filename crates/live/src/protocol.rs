@@ -9,6 +9,8 @@
 
 use std::io::{self, Read, Write};
 
+use telemetry::SeriesWindow;
+
 /// Frame discriminant for requests.
 pub const KIND_REQUEST: u8 = 0;
 /// Frame discriminant for responses.
@@ -381,38 +383,18 @@ impl StatsSnapshot {
     }
 }
 
-/// One sealed metrics window, as carried by the `METRICS` verb.
-///
-/// All fields are deltas or sums *within* the window, never cumulative:
-/// a client can drop, resume, or reconnect and still assemble a correct
-/// timeline from whatever windows it receives. `busy_sum`, `queued_sum`
-/// and `inflight_sum` are sums over the window's `samples` in-window
-/// samples (divide by `samples` for the mean gauge).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsWindow {
-    /// Window index: `floor(elapsed / interval)` on the server's clock.
-    pub index: u64,
-    /// Request frames accepted during the window.
-    pub arrivals: u64,
-    /// Responses completed during the window.
-    pub completions: u64,
-    /// Occupancy samples taken in the window.
-    pub samples: u64,
-    /// Σ busy workers over the samples.
-    pub busy_sum: u64,
-    /// Σ queued (accepted, not yet started) requests over the samples.
-    pub queued_sum: u64,
-    /// Max queued requests seen at any sample.
-    pub queued_max: u64,
-    /// Σ in-flight (accepted, not yet completed) requests over the
-    /// samples.
-    pub inflight_sum: u64,
-}
-
 /// The `METRICS` verb's reply: every sealed window the client has not
 /// seen yet (delta encoding — the request carries the first index the
 /// client wants, the reply carries `next_index` to pass next time).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Each window travels as one row of eight little-endian `u64`s —
+/// `index, arrivals, completions, samples, busy_sum, queued_sum,
+/// queued_max, inflight_sum` — all deltas or sums *within* the window,
+/// never cumulative, so a client can drop, resume, or reconnect and
+/// still assemble a correct timeline. A decoded window is a
+/// [`SeriesWindow`] with no latency histogram and no per-core or
+/// per-group vectors (the server samples neither).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReply {
     /// Window length in picoseconds (0 when the server runs no sampler).
     pub interval_ps: u64,
@@ -422,7 +404,7 @@ pub struct MetricsReply {
     /// request's `since`. Equals the currently-open window's index.
     pub next_index: u64,
     /// Sealed windows with `index >= since`, oldest first.
-    pub windows: Vec<MetricsWindow>,
+    pub windows: Vec<SeriesWindow>,
 }
 
 const METRICS_REQUEST_LEN: usize = 1 + 8;
@@ -493,8 +475,7 @@ impl MetricsReply {
             let word = |j: usize| {
                 u64::from_le_bytes(payload[base + j * 8..base + (j + 1) * 8].try_into().unwrap())
             };
-            windows.push(MetricsWindow {
-                index: word(0),
+            windows.push(SeriesWindow {
                 arrivals: word(1),
                 completions: word(2),
                 samples: word(3),
@@ -502,6 +483,7 @@ impl MetricsReply {
                 queued_sum: word(5),
                 queued_max: word(6),
                 inflight_sum: word(7),
+                ..SeriesWindow::empty(word(0), 0, 0)
             });
         }
         Ok(MetricsReply {
@@ -772,39 +754,54 @@ mod tests {
         assert!(Request::decode(&payload).is_err());
     }
 
-    #[test]
-    fn metrics_reply_roundtrips() {
-        let reply = MetricsReply {
-            interval_ps: 250_000_000_000, // 250 ms windows
+    /// A fixed two-window reply, 250 ms windows, 4 workers.
+    fn two_window_reply() -> MetricsReply {
+        let window = |row: [u64; 8]| SeriesWindow {
+            arrivals: row[1],
+            completions: row[2],
+            samples: row[3],
+            busy_sum: row[4],
+            queued_sum: row[5],
+            queued_max: row[6],
+            inflight_sum: row[7],
+            ..SeriesWindow::empty(row[0], 0, 0)
+        };
+        MetricsReply {
+            interval_ps: 250_000_000_000,
             workers: 4,
             next_index: 9,
             windows: vec![
-                MetricsWindow {
-                    index: 7,
-                    arrivals: 120,
-                    completions: 118,
-                    samples: 8,
-                    busy_sum: 21,
-                    queued_sum: 5,
-                    queued_max: 3,
-                    inflight_sum: 26,
-                },
-                MetricsWindow {
-                    index: 8,
-                    arrivals: 130,
-                    completions: 131,
-                    samples: 8,
-                    busy_sum: 24,
-                    queued_sum: 2,
-                    queued_max: 1,
-                    inflight_sum: 26,
-                },
+                window([7, 120, 118, 8, 21, 5, 3, 26]),
+                window([8, 130, 131, 8, 24, 2, 1, 26]),
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn metrics_reply_roundtrips() {
+        let reply = two_window_reply();
         let frame = reply.encode();
         let mut cursor = io::Cursor::new(frame);
         let payload = read_frame(&mut cursor).unwrap().expect("one frame");
         assert_eq!(MetricsReply::decode(&payload).unwrap(), reply);
+    }
+
+    #[test]
+    fn metrics_reply_bytes_are_pinned() {
+        // Length prefix, kind, interval_ps, next_index, workers, window
+        // count, then one eight-word row per window. Changing any byte
+        // breaks every `valetd`/`harness watch` pair across versions.
+        let golden = "99000000 05 004429353a000000 0900000000000000 04000000 02000000 \
+            0700000000000000 7800000000000000 7600000000000000 0800000000000000 \
+            1500000000000000 0500000000000000 0300000000000000 1a00000000000000 \
+            0800000000000000 8200000000000000 8300000000000000 0800000000000000 \
+            1800000000000000 0200000000000000 0100000000000000 1a00000000000000";
+        let hex: String = two_window_reply()
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, golden.split_whitespace().collect::<String>());
     }
 
     #[test]
@@ -825,7 +822,7 @@ mod tests {
             interval_ps: 1,
             workers: 2,
             next_index: 3,
-            windows: vec![MetricsWindow::default(); 2],
+            windows: vec![SeriesWindow::empty(0, 0, 0); 2],
         };
         let frame = reply.encode();
         // Claim 2 windows but carry 1: the length check must fire.

@@ -92,10 +92,13 @@ pub struct ServerConfig {
     /// discipline's hand-off and queueing, the quantity the sim↔live
     /// divergence report compares.
     pub trace: Option<TraceSink>,
-    /// Metrics window length; `Some` starts a sampler thread sealing one
-    /// window per interval (sampled [`SAMPLES_PER_WINDOW`] times each),
-    /// served by the `METRICS` wire verb and the Prometheus exposition.
-    /// `None` runs no sampler; `METRICS` then answers with zero windows.
+    /// Metrics window length; `Some` starts the `valetd-sampler` thread
+    /// sealing one window per interval (sampled [`SAMPLES_PER_WINDOW`]
+    /// times each), served by the `METRICS` wire verb and the Prometheus
+    /// exposition. `None` runs no sampler; `METRICS` then answers with
+    /// zero windows. Only the processes that read those windows set it —
+    /// `valetd` (`--metrics-addr` / `--metrics-window-ms`) and `harness
+    /// watch`; [`crate::LiveRunConfig::server_config`] leaves it `None`.
     pub metrics_interval: Option<Duration>,
 }
 
@@ -310,15 +313,10 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// Renders the Prometheus text exposition for the server's current
-    /// state (what `valetd --metrics-addr` serves).
-    pub fn prometheus_text(&self) -> String {
-        (self.prometheus_renderer())()
-    }
-
-    /// A `'static` clone of [`Server::prometheus_text`] for handing to a
-    /// [`crate::MetricsExporter`] thread, which outlives any borrow of
-    /// this handle.
+    /// A `'static` renderer of the Prometheus text exposition for the
+    /// server's current state (what `valetd --metrics-addr` serves), for
+    /// handing to a [`crate::MetricsExporter`] thread, which outlives any
+    /// borrow of this handle.
     pub fn prometheus_renderer(&self) -> impl Fn() -> String + Send + Sync + 'static {
         let shared = Arc::clone(&self.shared);
         move || render_prometheus(&shared.snapshot(), shared.metrics.as_ref())
@@ -700,7 +698,7 @@ mod tests {
         assert!(delta.windows.iter().all(|w| w.index >= reply.next_index));
         assert_eq!(counted(&delta), (0, 0), "nothing new arrived");
         // The exposition renders the same state.
-        let text = server.prometheus_text();
+        let text = server.prometheus_renderer()();
         assert!(text.contains("valetd_requests_total 4"), "{text}");
         assert!(text.contains("valetd_window_interval_seconds 0.04"));
         drop(client);

@@ -14,10 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use telemetry::{EventRing, Hop, TraceEvent};
+use telemetry::{derive_series, EventRing, Hop, SeriesWindow, TraceEvent};
 
 use crate::dispatch::DispatchGauges;
-use crate::protocol::{MetricsReply, MetricsWindow, StatsSnapshot, WorkerStats};
+use crate::protocol::{MetricsReply, StatsSnapshot, WorkerStats};
 
 /// One worker's completion counters, owned by that worker's thread.
 #[derive(Debug, Default)]
@@ -83,11 +83,6 @@ impl ServerStats {
         self.redirects.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests redirected away so far.
-    pub fn redirects_total(&self) -> u64 {
-        self.redirects.load(Ordering::Relaxed)
-    }
-
     /// Request frames accepted so far.
     pub fn requests_total(&self) -> u64 {
         self.requests_rx.load(Ordering::Relaxed)
@@ -149,10 +144,12 @@ const RETAINED_WINDOWS: usize = 1_024;
 /// A background sampler thread calls [`MetricsHub::tick`] a few times
 /// per window; each tick reads the cumulative [`ServerStats`] counters,
 /// turns them into in-window deltas, and samples the instantaneous
-/// busy/queued/in-flight gauges. Sealed windows are served — delta
-/// encoded — by the `METRICS` wire verb and the Prometheus exposition.
-/// The hot path is untouched: sampling reads the same relaxed atomics
-/// the `STATS` verb does.
+/// busy/queued/in-flight gauges. Windows are the simulator's
+/// [`SeriesWindow`]s, without a latency histogram or per-core and
+/// per-group vectors (`SeriesWindow::empty(index, 0, 0)`). Sealed
+/// windows are served — delta encoded — by the `METRICS` wire verb and
+/// the Prometheus exposition. The hot path is untouched: sampling reads
+/// the same relaxed atomics the `STATS` verb does.
 pub struct MetricsHub {
     interval_ps: u64,
     workers: u32,
@@ -160,8 +157,8 @@ pub struct MetricsHub {
 }
 
 struct HubState {
-    open: MetricsWindow,
-    sealed: Vec<MetricsWindow>,
+    open: SeriesWindow,
+    sealed: Vec<SeriesWindow>,
     last_requests: u64,
     last_completions: u64,
 }
@@ -178,17 +175,12 @@ impl MetricsHub {
             interval_ps,
             workers: workers as u32,
             inner: Mutex::new(HubState {
-                open: MetricsWindow::default(),
+                open: SeriesWindow::empty(0, 0, 0),
                 sealed: Vec::new(),
                 last_requests: 0,
                 last_completions: 0,
             }),
         }
-    }
-
-    /// Window length in picoseconds.
-    pub fn interval_ps(&self) -> u64 {
-        self.interval_ps
     }
 
     /// Takes one sample at `t_ps` (elapsed since server start on the
@@ -201,14 +193,13 @@ impl MetricsHub {
         let index = t_ps / self.interval_ps;
         let mut inner = self.inner.lock().expect("metrics hub");
         while inner.open.index < index {
-            let sealed = std::mem::take(&mut inner.open);
-            let next_index = sealed.index + 1;
+            let next = SeriesWindow::empty(inner.open.index + 1, 0, 0);
+            let sealed = std::mem::replace(&mut inner.open, next);
             inner.sealed.push(sealed);
             if inner.sealed.len() > RETAINED_WINDOWS {
                 let excess = inner.sealed.len() - RETAINED_WINDOWS;
                 inner.sealed.drain(..excess);
             }
-            inner.open.index = next_index;
         }
         let arrivals = requests.saturating_sub(inner.last_requests);
         let completed = completions.saturating_sub(inner.last_completions);
@@ -238,25 +229,24 @@ impl MetricsHub {
                 .sealed
                 .iter()
                 .filter(|w| w.index >= since)
-                .copied()
+                .cloned()
                 .collect(),
         }
     }
 
     /// The most recently sealed window, if any window has sealed yet.
-    pub fn latest(&self) -> Option<MetricsWindow> {
+    pub fn latest(&self) -> Option<SeriesWindow> {
         let inner = self.inner.lock().expect("metrics hub");
-        inner.sealed.last().copied()
+        inner.sealed.last().cloned()
     }
 }
 
 /// Renders the Prometheus text exposition (`text/plain; version=0.0.4`)
 /// for a server: cumulative counters, dispatcher gauges, and — when a
-/// sampler runs — the latest sealed window's gauges.
-pub fn render_prometheus(
-    snapshot: &StatsSnapshot,
-    hub: Option<&MetricsHub>,
-) -> String {
+/// sampler runs — the latest sealed window's gauges, derived by
+/// [`derive_series`]. A window no sample landed in exports its
+/// occupancy, queue-depth and in-flight means as `NaN` (unknown), not 0.
+pub fn render_prometheus(snapshot: &StatsSnapshot, hub: Option<&MetricsHub>) -> String {
     use std::fmt::Write as _;
 
     let mut out = String::with_capacity(1_024);
@@ -302,67 +292,64 @@ pub fn render_prometheus(
             row.completions
         );
     }
-    let _ = writeln!(
-        out,
-        "# HELP valetd_queue_high_water Dispatch-queue depth high water."
+    let mut gauge = |name: &str, help: &str, value: f64| {
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} gauge");
+        let _ = writeln!(out, "{name} {value}");
+    };
+    gauge(
+        "valetd_queue_high_water",
+        "Dispatch-queue depth high water.",
+        snapshot.queue_high_water as f64,
     );
-    let _ = writeln!(out, "# TYPE valetd_queue_high_water gauge");
-    let _ = writeln!(out, "valetd_queue_high_water {}", snapshot.queue_high_water);
-    if let Some(hub) = hub {
-        let _ = writeln!(
-            out,
-            "# HELP valetd_window_interval_seconds Metrics window length."
-        );
-        let _ = writeln!(out, "# TYPE valetd_window_interval_seconds gauge");
-        let _ = writeln!(
-            out,
-            "valetd_window_interval_seconds {}",
-            hub.interval_ps() as f64 / 1e12
-        );
-        if let Some(w) = hub.latest() {
-            let samples = w.samples.max(1) as f64;
-            let mut gauge = |name: &str, help: &str, value: f64| {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} gauge");
-                let _ = writeln!(out, "{name} {value}");
-            };
-            gauge(
-                "valetd_window_arrivals",
-                "Requests accepted in the last sealed window.",
-                w.arrivals as f64,
-            );
-            gauge(
-                "valetd_window_completions",
-                "Responses completed in the last sealed window.",
-                w.completions as f64,
-            );
-            gauge(
-                "valetd_window_throughput_rps",
-                "Completions per second over the last sealed window.",
-                w.completions as f64 * 1e12 / hub.interval_ps() as f64,
-            );
-            gauge(
-                "valetd_window_occupancy",
-                "Mean busy-worker fraction over the last sealed window.",
-                w.busy_sum as f64 / samples / f64::from(hub.workers.max(1)),
-            );
-            gauge(
-                "valetd_window_queue_depth",
-                "Mean queued requests over the last sealed window.",
-                w.queued_sum as f64 / samples,
-            );
-            gauge(
-                "valetd_window_queue_depth_max",
-                "Max queued requests sampled in the last sealed window.",
-                w.queued_max as f64,
-            );
-            gauge(
-                "valetd_window_inflight",
-                "Mean in-flight requests over the last sealed window.",
-                w.inflight_sum as f64 / samples,
-            );
-        }
-    }
+    let Some(hub) = hub else { return out };
+    gauge(
+        "valetd_window_interval_seconds",
+        "Metrics window length.",
+        hub.interval_ps as f64 / 1e12,
+    );
+    let Some(w) = hub.latest() else { return out };
+    let points = derive_series(
+        std::slice::from_ref(&w),
+        hub.interval_ps,
+        u64::from(hub.workers),
+    );
+    let derived = &points[0];
+    gauge(
+        "valetd_window_arrivals",
+        "Requests accepted in the last sealed window.",
+        w.arrivals as f64,
+    );
+    gauge(
+        "valetd_window_completions",
+        "Responses completed in the last sealed window.",
+        w.completions as f64,
+    );
+    gauge(
+        "valetd_window_throughput_rps",
+        "Completions per second over the last sealed window.",
+        derived.throughput_rps,
+    );
+    gauge(
+        "valetd_window_occupancy",
+        "Mean busy-worker fraction over the last sealed window.",
+        derived.occupancy,
+    );
+    gauge(
+        "valetd_window_queue_depth",
+        "Mean queued requests over the last sealed window.",
+        derived.mean_queue_depth,
+    );
+    gauge(
+        "valetd_window_queue_depth_max",
+        "Max queued requests sampled in the last sealed window.",
+        derived.max_queue_depth as f64,
+    );
+    gauge(
+        "valetd_window_inflight",
+        "Mean in-flight requests over the last sealed window.",
+        derived.mean_inflight,
+    );
     out
 }
 
@@ -495,24 +482,64 @@ mod tests {
         let caught_up = hub.reply_since(reply.next_index);
         assert!(caught_up.windows.is_empty());
         assert_eq!(caught_up.next_index, 2);
+
+        // Window 1 is the latest: with no sample in it, the server's
+        // state over it is unknown, not idle.
+        let text = render_prometheus(&stats.snapshot(DispatchGauges::default(), 0), Some(&hub));
+        for gauge in ["occupancy", "queue_depth", "inflight"] {
+            assert!(text.contains(&format!("valetd_window_{gauge} NaN\n")), "{text}");
+        }
     }
 
     #[test]
     fn prometheus_text_renders_counters_and_window_gauges() {
-        let stats = ServerStats::new(2);
-        stats.note_request(29);
+        // Three samples in window 0 of a 3-worker, 250 ms hub.
+        let stats = ServerStats::new(3);
+        let hub = MetricsHub::new(250_000_000_000, 3);
+        for _ in 0..7 {
+            stats.note_request(29);
+        }
+        stats.note_completion(0, 33);
+        stats.note_completion(0, 33);
+        stats.note_busy(0, true);
+        stats.note_busy(2, true);
+        hub.tick(10_000_000_000, &stats);
         stats.note_completion(1, 33);
-        let hub = MetricsHub::new(1_000_000, 2);
-        stats.note_busy(1, true);
-        hub.tick(100_000, &stats);
-        hub.tick(1_200_000, &stats); // seals window 0
+        stats.note_busy(2, false);
+        hub.tick(130_000_000_000, &stats);
+        stats.note_completion(2, 33);
+        hub.tick(200_000_000_000, &stats);
+        hub.tick(260_000_000_000, &stats); // seals window 0
         let snap = stats.snapshot(DispatchGauges::default(), 0);
         let text = render_prometheus(&snap, Some(&hub));
-        assert!(text.contains("valetd_requests_total 1"));
-        assert!(text.contains("valetd_completions_total{worker=\"1\"} 1"));
+        assert!(text.contains("# TYPE valetd_requests_total counter\nvaletd_requests_total 7\n"));
+        assert!(text.contains("valetd_completions_total{worker=\"0\"} 2"));
         assert!(text.contains("valetd_trace_dropped_total 0"));
-        assert!(text.contains("valetd_window_occupancy 0.5"), "{text}");
-        assert!(text.contains("# TYPE valetd_requests_total counter"));
+        // The window gauges' names, HELP/TYPE lines, order and values.
+        let golden = "\
+# HELP valetd_window_arrivals Requests accepted in the last sealed window.
+# TYPE valetd_window_arrivals gauge
+valetd_window_arrivals 7
+# HELP valetd_window_completions Responses completed in the last sealed window.
+# TYPE valetd_window_completions gauge
+valetd_window_completions 4
+# HELP valetd_window_throughput_rps Completions per second over the last sealed window.
+# TYPE valetd_window_throughput_rps gauge
+valetd_window_throughput_rps 16
+# HELP valetd_window_occupancy Mean busy-worker fraction over the last sealed window.
+# TYPE valetd_window_occupancy gauge
+valetd_window_occupancy 0.4444444444444444
+# HELP valetd_window_queue_depth Mean queued requests over the last sealed window.
+# TYPE valetd_window_queue_depth gauge
+valetd_window_queue_depth 2.6666666666666665
+# HELP valetd_window_queue_depth_max Max queued requests sampled in the last sealed window.
+# TYPE valetd_window_queue_depth_max gauge
+valetd_window_queue_depth_max 3
+# HELP valetd_window_inflight Mean in-flight requests over the last sealed window.
+# TYPE valetd_window_inflight gauge
+valetd_window_inflight 4
+";
+        assert!(text.ends_with(golden), "{text}");
         // Without a hub, only the cumulative families render.
         let bare = render_prometheus(&snap, None);
         assert!(!bare.contains("valetd_window_"));

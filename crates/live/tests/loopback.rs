@@ -9,7 +9,7 @@
 
 use std::sync::Mutex;
 
-use live::{run_loopback, LivePolicy, LiveRunConfig};
+use live::{run_loopback_observed, LivePolicy, LiveRunConfig, LiveRunStats};
 
 /// Wall-clock runs must own the machine (the same reason the harness
 /// clamps live matrices to one worker thread): on a 1-CPU container,
@@ -18,15 +18,17 @@ use live::{run_loopback, LivePolicy, LiveRunConfig};
 /// the harness's default parallelism can't interleave them.
 static MACHINE: Mutex<()> = Mutex::new(());
 
-fn spec(policy: LivePolicy, load: f64, requests: u64, seed: u64) -> LiveRunConfig {
+/// One loopback run's client-side statistics.
+fn run(policy: LivePolicy, load: f64, requests: u64, seed: u64) -> LiveRunStats {
     // The builder's defaults are exactly this test rig: 2 sleep-burn
     // workers and the exponential 600 ns profile scaled 500× -> mean
     // 300 µs sleeps — long enough to dominate sleep-granularity jitter,
     // short enough for a sub-second run.
-    LiveRunConfig::new(policy)
+    let config = LiveRunConfig::new(policy)
         .requests(requests, requests / 10)
         .load(load)
-        .seed(seed)
+        .seed(seed);
+    run_loopback_observed(&config).unwrap().stats
 }
 
 #[test]
@@ -34,8 +36,8 @@ fn single_queue_beats_rss_at_high_load() {
     let _machine = MACHINE.lock().unwrap_or_else(|e| e.into_inner());
     let load = 0.85;
     let requests = 2_500;
-    let single = run_loopback(&spec(LivePolicy::SingleQueue, load, requests, 42)).unwrap();
-    let rss = run_loopback(&spec(LivePolicy::RssStatic, load, requests, 42)).unwrap();
+    let single = run(LivePolicy::SingleQueue, load, requests, 42);
+    let rss = run(LivePolicy::RssStatic, load, requests, 42);
 
     assert_eq!(single.received, single.sent, "single-queue run drained");
     assert_eq!(rss.received, rss.sent, "rss run drained");
@@ -67,7 +69,7 @@ fn replenish_drains_and_starves_no_worker() {
     // is pinned without a clock by the model test in `dispatch.rs`;
     // here only what needs real sockets: the run drains, and free-worker
     // matching keeps both workers busy.
-    let replenish = run_loopback(&spec(LivePolicy::Replenish, 0.7, 1_500, 7)).unwrap();
+    let replenish = run(LivePolicy::Replenish, 0.7, 1_500, 7);
     assert_eq!(replenish.received, replenish.sent, "replenish run drained");
     assert!(
         replenish.worker_completions.iter().all(|&c| c > 0),
@@ -81,13 +83,7 @@ fn partitioned_sits_between_single_and_rss_in_drain_and_balance() {
     let _machine = MACHINE.lock().unwrap_or_else(|e| e.into_inner());
     let load = 0.6;
     let requests = 1_200;
-    let part = run_loopback(&spec(
-        LivePolicy::Partitioned { groups: 2 },
-        load,
-        requests,
-        11,
-    ))
-    .unwrap();
+    let part = run(LivePolicy::Partitioned { groups: 2 }, load, requests, 11);
     assert_eq!(part.received, part.sent, "partitioned run drained");
     assert!(part.measured > 0);
     assert!(part.p50_latency_ns > 0.0);
